@@ -29,6 +29,8 @@ from .batch_mult import (
     recover_batch,
     validate_batch_params,
 )
+from .codes import binary_expand, replicate
+from .curves import pir_delta_curves
 from .gf import CapacityError, Field, is_prime, smallest_prime_above
 from .mpoly import (
     DecodeFailure,
@@ -53,12 +55,9 @@ from .multiplicity import (
 from .pir import (
     DirectionFamily,
     RecoveryPlan,
-    binary_expand,
     build_direction_families,
-    pir_delta_curves,
     pir_recovery_plans,
     recover_symbol,
-    replicate,
 )
 from .verify import (
     GeneratorMatrix,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gf import is_prime, smallest_prime_above
-from .linalg import solve_in_span_gf2
+from .linalg import _pack, solve_in_span_gf2
 
 
 class BatchPlanningError(RuntimeError):
@@ -85,12 +85,6 @@ def data_index(params: ArrayCodeParams, i: int, j: int) -> int:
 
 def parity_index(params: ArrayCodeParams, ell: int, t: int) -> int:
     return params.dim + ell * params.cols + t
-
-
-def global_parity_index(params: ArrayCodeParams) -> int:
-    if not params.global_parity:
-        raise ValueError("code has no global parity bit")
-    return params.length - 1
 
 
 @dataclass(frozen=True)
@@ -170,7 +164,8 @@ def _pir_sets_cached(params: ArrayCodeParams, cell) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pir_set_masks(params: ArrayCodeParams, cell) -> tuple:
-    return tuple(_mask_of(s) for s in _pir_sets_cached(params, cell))
+    return tuple(_pack(j in s for j in range(params.length))
+                 for s in _pir_sets_cached(params, cell))
 
 
 def has_weighted_ap(slopes, r: int, p: int):
@@ -359,28 +354,12 @@ def plan_five_batch(params: ArrayCodeParams, request) -> list:
     raise BatchPlanningError(request)
 
 
-def _mask_of(coord_set) -> int:
-    m = 0
-    for j in coord_set:
-        m |= 1 << j
-    return m
-
-
 def recover_bit(codeword, rec_set) -> int:
     """XOR the codeword over a recovering set."""
     acc = 0
     for j in rec_set:
         acc ^= codeword[j]
     return acc
-
-
-def batch_redundancy_exponent(eps) -> Fraction:
-    """Exponent 2/3 + 5*eps/3 achieved by the dimension-targeted builder
-    at availability n^eps, for eps < 1/2."""
-    eps = Fraction(eps)
-    if not 0 <= eps < Fraction(1, 2):
-        raise ValueError("eps must lie in [0, 1/2)")
-    return Fraction(2, 3) + Fraction(5, 3) * eps
 
 
 def to_descriptor(params: ArrayCodeParams) -> dict:

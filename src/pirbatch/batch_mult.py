@@ -11,9 +11,9 @@ erasure interpolation and the k coordinate sets come out disjoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .multiplicity import MultCodeParams
+from .array_code import BatchPlanningError
+from .multiplicity import MultCodeParams, line_points
 from .pir import RecoveryPlan, build_direction_families, make_plan, recover_symbol
 
 
@@ -49,18 +49,14 @@ class BatchPlan:
     plans: tuple    # one RecoveryPlan per request, pairwise disjoint
 
 
-def _full_line(params, w0, v):
-    field = params.field
-    return frozenset(tuple(field.add(a, field.mul(lam, b)) for a, b in zip(w0, v))
-                     for lam in range(params.q))
-
-
 def plan_batch(bp: BatchParams, request) -> BatchPlan:
     """Disjoint recovering plans for a multiset of k target points.
 
     Requests are served in sorted order; request j uses direction family
     j and drops every line point that is another request's target or lies
-    on any of another request's lines.
+    on any of another request's lines.  A line over its drop budget or two
+    overlapping plans, which the batch inequalities rule out, raise
+    BatchPlanningError.
     """
     params = bp.params
     request = tuple(sorted(tuple(w) for w in request))
@@ -68,32 +64,28 @@ def plan_batch(bp: BatchParams, request) -> BatchPlan:
         raise ValueError(f"expected {bp.k} requests, got {len(request)}")
     families = build_direction_families(params.q, params.m, params.s)
     grids = [families.grids[j] for j in range(len(request))]
-    line_points = [frozenset().union(*(_full_line(params, w0, v) for v in grid))
-                   for w0, grid in zip(request, grids)]
+    covered = [frozenset(w for v in grid for _, w in line_points(params, w0, v))
+               for w0, grid in zip(request, grids)]
     drop_budget = bp.k * params.m ** (params.s - 1)
-    field = params.field
     plans = []
     for j, w0 in enumerate(request):
         foreign = set()
         for j2 in range(len(request)):
             if j2 != j:
                 foreign.add(request[j2])
-                foreign.update(line_points[j2])
+                foreign.update(covered[j2])
         lines = []
         for v in grids[j]:
-            drops = set()
-            for lam in range(1, params.q):
-                pt = tuple(field.add(a, field.mul(lam, b)) for a, b in zip(w0, v))
-                if pt in foreign:
-                    drops.add(lam)
-            assert len(drops) <= drop_budget, \
-                f"line through {w0} exceeded its drop budget: {sorted(drops)}"
-            lines.append((v, frozenset(drops)))
+            drops = frozenset(lam for lam, w in line_points(params, w0, v)
+                              if w in foreign)
+            if len(drops) > drop_budget:
+                raise BatchPlanningError(request)
+            lines.append((v, drops))
         plans.append(make_plan(params, w0, j, lines))
     for a in range(len(plans)):
         for b in range(a + 1, len(plans)):
-            assert not (plans[a].coordinates & plans[b].coordinates), \
-                "planned coordinate sets overlap"
+            if plans[a].coordinates & plans[b].coordinates:
+                raise BatchPlanningError(request)
     return BatchPlan(request=request, plans=tuple(plans))
 
 
@@ -101,32 +93,3 @@ def recover_batch(codeword, batch_plan: BatchPlan) -> list:
     """Recover each requested symbol from its plan, in request order."""
     return [recover_symbol(codeword, plan) for plan in batch_plan.plans]
 
-
-# ---------------------------------------------------------------------------
-# redundancy-exponent curves for batch availability n^eps
-# ---------------------------------------------------------------------------
-
-def batch_delta_qary(eps) -> Fraction:
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if eps >= Fraction(1, 2):
-        return Fraction(1, 2) + eps
-    return Fraction(3, 4) + eps / 2
-
-
-def batch_delta_binary(eps) -> Fraction:
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if eps >= Fraction(1, 2):
-        return Fraction(1, 2) + eps
-    return Fraction(5, 6) + eps / 3
-
-
-def batch_delta_curves(eps_grid, variant="qary") -> list:
-    if variant not in ("qary", "binary"):
-        raise ValueError(f"unknown variant {variant!r}")
-    delta = batch_delta_qary if variant == "qary" else batch_delta_binary
-    return [{"epsilon": Fraction(eps), "delta": delta(eps), "variant": variant}
-            for eps in eps_grid]

@@ -3,7 +3,8 @@ recovery round trips, certify availability properties, and emit the
 redundancy trade-off curves as CSV data.
 
 Exit codes: 0 success, 1 certification failure or recovery mismatch,
-2 usage or parse errors.  All randomized outputs record their seed.
+2 usage or parse errors, a malformed or oversized descriptor among them.
+All randomized outputs record their seed.
 """
 
 from __future__ import annotations
@@ -12,392 +13,11 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
-from . import array_code, batch_mult, multiplicity, pir, verify
+from . import array_code, curves, multiplicity, verify
+from .codes import binary_expand, build_runtime, replicate
 from .gf import Field
 from .mpoly import DecodeFailure
-
-
-# ---------------------------------------------------------------------------
-# runtime adapters: one uniform surface over the code families
-# ---------------------------------------------------------------------------
-
-class MultiplicityRuntime:
-    family = "multiplicity"
-
-    def __init__(self, params):
-        self.params = params
-        self.field = params.field
-        self.view = multiplicity.systematic_view(params)
-        self.n = params.base_dim
-        self.N = params.base_length
-        self.k = params.k_pir
-        self.info_positions = list(self.view.info_positions)
-        self._plans = {}
-
-    def encode(self, message):
-        return multiplicity.systematic_encode(self.view, message).base_values()
-
-    def _plans_for(self, w0):
-        if w0 not in self._plans:
-            self._plans[w0] = pir.pir_recovery_plans(self.params, w0)
-        return self._plans[w0]
-
-    def _expand_points(self, points):
-        width = self.params.symbol_width
-        return frozenset(multiplicity.base_position(self.params, w, c)
-                         for w in points for c in range(width))
-
-    def recovering_sets(self, i):
-        pos = self.info_positions[i]
-        w0 = multiplicity.code_points(self.params)[pos // self.params.symbol_width]
-        return [self._expand_points(p.coordinates) for p in self._plans_for(w0)]
-
-    def recover_info(self, codeword, i, set_index):
-        pos = self.info_positions[i]
-        width = self.params.symbol_width
-        w0 = multiplicity.code_points(self.params)[pos // width]
-        plan = self._plans_for(w0)[set_index]
-        symbols = {w: tuple(codeword[multiplicity.base_position(self.params, w, c)]
-                            for c in range(width))
-                   for w in plan.coordinates}
-        return pir.recover_symbol(symbols, plan)[pos % width]
-
-    # batch targets are symbol positions (points), identified by index
-    def batch_targets(self):
-        return list(range(self.params.num_points))
-
-    def positions_of(self, point_index):
-        width = self.params.symbol_width
-        return [point_index * width + c for c in range(width)]
-
-    def batch_planner(self, k):
-        bp = batch_mult.validate_batch_params(self.params, k)
-        points = multiplicity.code_points(self.params)
-
-        def plan(request):
-            batch = batch_mult.plan_batch(bp, [points[t] for t in request])
-            return [self._expand_points(p.coordinates) for p in batch.plans]
-
-        return plan
-
-    def profile(self):
-        prof = multiplicity.code_profile(self.params)
-        return {
-            "family": self.family, "n": self.n, "N": self.N, "k": self.k,
-            "redundancy": self.N - self.n, "rate": str(prof["rate"]),
-            "symbols": prof["N"], "symbol_width": self.params.symbol_width,
-            "dim_symbols": str(prof["n"]), "alphabet_size": prof["Q"],
-            "distance_bound": str(prof["distance_bound"]),
-        }
-
-    def descriptor(self):
-        return multiplicity.to_descriptor(self.params)
-
-
-class ArrayRuntime:
-    family = "array"
-
-    def __init__(self, params):
-        self.params = params
-        self.field = Field(2)
-        self.n = params.dim
-        self.N = params.length
-        self.k = params.k
-        self.info_positions = list(range(self.n))
-
-    def encode(self, message):
-        return array_code.encode_array(self.params, message).codeword()
-
-    def _cell(self, i):
-        return divmod(i, self.params.cols)
-
-    def recovering_sets(self, i):
-        return array_code.pir_sets_for_bit(self.params, self._cell(i))
-
-    def recover_info(self, codeword, i, set_index):
-        rec = self.recovering_sets(i)[set_index]
-        return array_code.recover_bit(codeword, rec)
-
-    def batch_targets(self):
-        return list(range(self.n))
-
-    positions_of = None  # batch targets are message indices
-
-    def _is_five_batch(self):
-        return self.params.global_parity and self.params.slopes == (0, 1, 2, 3, 4)
-
-    def batch_planner(self, k):
-        if self._is_five_batch():
-            if k != 5:
-                raise ValueError("the global-parity construction serves k = 5")
-            planner = array_code.plan_five_batch
-        else:
-            if k > self.k:
-                raise ValueError(f"at most {self.k} parallel requests")
-            planner = array_code.plan_array_batch
-
-        def plan(request):
-            return planner(self.params, [self._cell(t) for t in request])
-
-        return plan
-
-    def profile(self):
-        return {
-            "family": self.family, "n": self.n, "N": self.N, "k": self.k,
-            "redundancy": self.params.redundancy, "rate": str(self.params.rate),
-            "rows": self.params.rows, "cols": self.params.cols,
-            "slopes": list(self.params.slopes),
-            "global_parity": self.params.global_parity,
-        }
-
-    def descriptor(self):
-        return array_code.to_descriptor(self.params)
-
-
-class ExpandedRuntime:
-    """Bit-level view of a characteristic-2 code: every base coordinate
-    becomes extension-degree bits, and recovering sets expand coordinate
-    by coordinate (recovery maps are linear over GF(2))."""
-
-    family = "binary-expansion"
-
-    def __init__(self, base):
-        if base.field.p != 2 or base.field.e == 1:
-            raise ValueError("expansion needs a proper extension of GF(2)")
-        self.base = base
-        self.bits = base.field.e
-        self.field = Field(2)
-        self.n = base.n * self.bits
-        self.N = base.N * self.bits
-        self.k = base.k
-        self.info_positions = [p * self.bits + b for p in base.info_positions
-                               for b in range(self.bits)]
-
-    def encode(self, message):
-        e = self.bits
-        fld = self.base.field
-        base_msg = [fld.from_coeffs(message[i * e:(i + 1) * e])
-                    for i in range(self.base.n)]
-        out = []
-        for v in self.base.encode(base_msg):
-            out.extend(fld.coeffs(v))
-        return out
-
-    def _expand(self, coords):
-        return frozenset(j * self.bits + b for j in coords for b in range(self.bits))
-
-    def recovering_sets(self, i):
-        return [self._expand(s) for s in self.base.recovering_sets(i // self.bits)]
-
-    def recover_info(self, codeword, i, set_index):
-        base_i, bit = divmod(i, self.bits)
-        fld = self.base.field
-        e = self.bits
-        base_set = self.base.recovering_sets(base_i)[set_index]
-        view = {j: fld.from_coeffs([codeword[j * e + b] for b in range(e)])
-                for j in base_set}
-        return fld.coeffs(self.base.recover_info(view, base_i, set_index))[bit]
-
-    def profile(self):
-        return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
-                "redundancy": self.N - self.n, "bits_per_symbol": self.bits,
-                "rate": str(Fraction(self.n, self.N)),
-                "base": self.base.profile()}
-
-    def descriptor(self):
-        return {"family": self.family, "base": self.base.descriptor()}
-
-
-class ReplicatedRuntime:
-    """One message served through several full codeword replicas; each
-    replica contributes its own batch of disjoint recovering sets."""
-
-    family = "replication"
-
-    def __init__(self, base, copies):
-        if copies < 1:
-            raise ValueError("copies must be >= 1")
-        self.base = base
-        self.copies = copies
-        self.field = base.field
-        self.n = base.n
-        self.N = base.N * copies
-        self.k = base.k * copies
-        self.info_positions = list(base.info_positions)
-
-    def encode(self, message):
-        one = self.base.encode(message)
-        return list(one) * self.copies
-
-    def recovering_sets(self, i):
-        out = []
-        for c in range(self.copies):
-            off = c * self.base.N
-            out.extend(frozenset(j + off for j in s)
-                       for s in self.base.recovering_sets(i))
-        return out
-
-    def recover_info(self, codeword, i, set_index):
-        c, base_idx = divmod(set_index, self.base.k)
-        off = c * self.base.N
-        base_set = self.base.recovering_sets(i)[base_idx]
-        view = {j: codeword[j + off] for j in base_set}
-        return self.base.recover_info(view, i, base_idx)
-
-    def profile(self):
-        return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
-                "redundancy": self.N - self.n, "copies": self.copies,
-                "rate": str(Fraction(self.n, self.N)),
-                "base": self.base.profile()}
-
-    def descriptor(self):
-        return {"family": self.family, "copies": self.copies,
-                "base": self.base.descriptor()}
-
-
-def build_runtime(descriptor: dict):
-    """Instantiate the runtime adapter a descriptor names."""
-    family = descriptor.get("family")
-    if family == "multiplicity":
-        return MultiplicityRuntime(multiplicity.params_from_descriptor(descriptor))
-    if family == "array":
-        return ArrayRuntime(array_code.params_from_descriptor(descriptor))
-    if family == "binary-expansion":
-        return ExpandedRuntime(build_runtime(descriptor["base"]))
-    if family == "replication":
-        return ReplicatedRuntime(build_runtime(descriptor["base"]),
-                                 descriptor["copies"])
-    raise ValueError(f"unknown code family {family!r}")
-
-
-# ---------------------------------------------------------------------------
-# figure reference data (piecewise-linear, exact rationals)
-# ---------------------------------------------------------------------------
-
-F = Fraction
-
-LOWER_BOUND_CURVE = [(F(0), F(1, 2)), (F(1, 2), F(1, 2)), (F(1), F(1)),
-                     (F(3, 2), F(3, 2)), (F(2), F(2))]
-PIR_PRIOR_CURVE = [(F(0), F(1, 2)), (F(29, 100), F(79, 100)),
-                   (F(1, 2), F(79, 100)), (F(1, 2), F(1)),
-                   (F(1), F(3, 2)), (F(3, 2), F(2))]
-BATCH_PRIOR_CURVE = [(F(0), F(4, 5)), (F(1, 5), F(4, 5)), (F(7, 32), F(7, 8)),
-                     (F(1, 4), F(7, 8)), (F(1, 4), F(1)), (F(1, 2), F(5, 4)),
-                     (F(3, 4), F(3, 2)), (F(1), F(3, 2)), (F(3, 2), F(2))]
-
-
-def piecewise(points, x):
-    """Evaluate a piecewise-linear curve at x; None outside its domain.
-    Vertical jumps take the value of the segment left of the jump."""
-    x = Fraction(x)
-    for (x1, y1), (x2, y2) in zip(points, points[1:]):
-        if x1 == x2:
-            continue
-        if x1 <= x <= x2:
-            return y1 + (y2 - y1) * (x - x1) / (x2 - x1)
-    return None
-
-
-def batch_crossover() -> dict:
-    """Where the array construction stops beating the multiplicity batch
-    curve: solve 2/3 + 5e/3 = 5/6 + e/3 exactly, alongside the commonly
-    quoted decimal 0.0755, which does not match the closed forms."""
-    lhs_const, lhs_slope = F(2, 3), F(5, 3)
-    rhs_const, rhs_slope = F(5, 6), F(1, 3)
-    eps = (rhs_const - lhs_const) / (lhs_slope - rhs_slope)
-    quoted = 0.0755
-    return {"formula": eps, "quoted": quoted,
-            "matches_quoted": abs(float(eps) - quoted) < 1e-9}
-
-
-def curve_series(which: str, step: Fraction) -> list:
-    """Rows (epsilon, delta, series) for one figure's curves."""
-    step = Fraction(step)
-    if step <= 0:
-        raise ValueError("step must be positive")
-    grid = []
-    x = Fraction(0)
-    while x <= 2:
-        grid.append(x)
-        x += step
-    rows = []
-
-    def emit(series, eps, delta):
-        if delta is not None:
-            rows.append((eps, delta, series))
-
-    if which == "pir-binary":
-        for s in (3, 5, 7, 20):
-            for eps in grid:
-                if eps < 1 and s * (1 - eps) > 1:
-                    emit(f"delta_s{s}", eps, pir.pir_delta_binary(s, eps))
-        for eps in grid:
-            if eps < 1:
-                s_star = pir.optimal_s_binary(eps)
-                emit("optimal", eps, pir.pir_delta_binary(s_star, eps))
-            else:
-                emit("replication", eps, eps)
-        for eps in grid:
-            emit("lower-bound", eps, piecewise(LOWER_BOUND_CURVE, eps))
-            emit("prior-work", eps, piecewise(PIR_PRIOR_CURVE, eps))
-    elif which == "pir-qary":
-        for eps in grid:
-            if eps < 1:
-                s_star = pir.optimal_s_qary(eps)
-                emit("optimal", eps, pir.pir_delta_qary(s_star, eps))
-            else:
-                emit("replication", eps, eps)
-        for eps in grid:
-            emit("lower-bound", eps, piecewise(LOWER_BOUND_CURVE, eps))
-    elif which == "batch":
-        half = Fraction(1, 2)
-        for eps in grid:
-            if eps < half:
-                emit("mult-qary", eps, batch_mult.batch_delta_qary(eps))
-                emit("mult-binary", eps, batch_mult.batch_delta_binary(eps))
-                emit("array", eps, array_code.batch_redundancy_exponent(eps))
-            else:
-                emit("tail", eps, batch_mult.batch_delta_binary(eps))
-        for eps in grid:
-            candidates = [batch_mult.batch_delta_binary(eps)]
-            if eps < half:
-                candidates.append(array_code.batch_redundancy_exponent(eps))
-            emit("constructions-min", eps, min(candidates))
-            emit("lower-bound", eps, piecewise(LOWER_BOUND_CURVE, eps))
-            emit("prior-work", eps, piecewise(BATCH_PRIOR_CURVE, eps))
-    else:
-        raise ValueError(f"unknown curve family {which!r}")
-    rows.sort(key=lambda r: (r[2], r[0]))
-    return rows
-
-
-def _decimal(fr: Fraction) -> str:
-    """Exact decimal when the denominator allows it, else num/den."""
-    den = fr.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return f"{fr.numerator}/{fr.denominator}"
-    shift = max(twos, fives)
-    scaled = fr.numerator * 10 ** shift // fr.denominator
-    if shift == 0:
-        return str(scaled)
-    digits = str(scaled).rjust(shift + 1, "0")
-    return digits[:-shift] + "." + digits[-shift:]
-
-
-def curves_csv(rows) -> str:
-    lines = ["epsilon,delta,series,delta_exact"]
-    for eps, delta, series in rows:
-        lines.append(f"{_decimal(eps)},{float(delta)},{series},{delta}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +67,9 @@ def cmd_build(args) -> int:
                              "--target-dim or --r with --k")
         desc = array_code.to_descriptor(params)
     if args.expand_binary:
-        desc = pir.binary_expand(desc)
+        desc = binary_expand(desc)
     if args.replicate is not None:
-        desc = pir.replicate(desc, args.replicate)
+        desc = replicate(desc, args.replicate)
     runtime = build_runtime(desc)
     if args.output:
         _write_or_print(_json_text(desc), args.output)
@@ -593,24 +213,19 @@ def cmd_recover(args) -> int:
 
 
 def cmd_curves(args) -> int:
-    step = Fraction(args.step)
     if args.format == "table":
         if args.which == "batch":
             raise ValueError("table format applies to the pir variants")
         variant = "qary" if args.which == "pir-qary" else "binary"
-        grid = []
-        x = Fraction(0)
-        while x <= 2:
-            grid.append(x)
-            x += step
-        rows = pir.pir_delta_curves(grid, s_values=args.s_values and
-                                    _parse_ints(args.s_values), variant=variant)
-        _write_or_print(pir.curve_csv(rows), args.output)
+        rows = curves.pir_delta_curves(
+            curves.epsilon_grid(args.step),
+            s_values=args.s_values and _parse_ints(args.s_values), variant=variant)
+        _write_or_print(curves.curve_csv(rows), args.output)
         return 0
-    rows = curve_series(args.which, step)
-    _write_or_print(curves_csv(rows), args.output)
+    rows = curves.curve_series(args.which, args.step)
+    _write_or_print(curves.curves_csv(rows), args.output)
     if args.which == "batch":
-        cross = batch_crossover()
+        cross = curves.batch_crossover()
         sys.stdout.write(_json_text({
             "crossover_formula": str(cross["formula"]),
             "crossover_formula_decimal": float(cross["formula"]),

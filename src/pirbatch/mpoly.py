@@ -98,11 +98,6 @@ class Poly:
     def constant(cls, field, s, c):
         return cls(field, s, {(0,) * s: c})
 
-    @classmethod
-    def variable(cls, field, s, t):
-        exps = tuple(1 if i == t else 0 for i in range(s))
-        return cls(field, s, {exps: 1})
-
     def degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)

@@ -26,7 +26,6 @@ from .mpoly import (
     monomials_below,
     monomials_of_weight,
     monomials_up_to_degree,
-    order_m_evaluation,
 )
 
 
@@ -224,6 +223,14 @@ def _component_rows(params: MultCodeParams, v: tuple) -> tuple:
     return tuple(rows)
 
 
+def line_points(params: MultCodeParams, w0, v, drops=frozenset()) -> list:
+    """(lambda, w0 + lambda*v) for every nonzero lambda not in ``drops``,
+    in increasing lambda."""
+    field = params.field
+    return [(lam, tuple(field.add(a, field.mul(lam, b)) for a, b in zip(w0, v)))
+            for lam in range(1, params.q) if lam not in drops]
+
+
 def line_samples(codeword, w0, v, drops=frozenset(), params=None):
     """Order-m univariate evaluations of the codeword's restriction to the
     line w0 + lambda*v, for every nonzero undropped lambda.
@@ -242,10 +249,7 @@ def line_samples(codeword, w0, v, drops=frozenset(), params=None):
         raise ValueError("drops must be nonzero field elements")
     rows = _component_rows(params, v)
     out = []
-    for lam in range(1, params.q):
-        if lam in drops:
-            continue
-        w = tuple(field.add(a, field.mul(lam, b)) for a, b in zip(w0, v))
+    for lam, w in line_points(params, w0, v, drops):
         sym = codeword[w]
         ev = []
         for row in rows:

@@ -1,5 +1,5 @@
-"""Disjoint recovering sets for multiplicity codes and the redundancy
-trade-off curves.
+"""Disjoint recovering sets for multiplicity codes and symbol recovery
+along them.
 
 A recovering set for the symbol at w0 is the union of lines through w0
 whose directions form a grid with last coordinate 1.  Scaling a vector
@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .mpoly import hermite_interpolate, homogeneous_interpolate, monomials_below
-from .multiplicity import MultCodeParams, line_samples
+from .multiplicity import MultCodeParams, line_points, line_samples
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,12 @@ class RecoveryPlan:
     coordinates: frozenset  # points read by this plan; never contains w0
 
 
-def _line_points(params, w0, v, drops):
-    field = params.field
-    return [tuple(field.add(a, field.mul(lam, b)) for a, b in zip(w0, v))
-            for lam in range(1, params.q) if lam not in drops]
-
-
 def make_plan(params, w0, family_index, lines) -> RecoveryPlan:
     coords = set()
     for v, drops in lines:
         if params.m * (params.q - 1 - len(drops)) < params.d + 1:
             raise ValueError("a line retains too few points for this degree")
-        coords.update(_line_points(params, w0, v, drops))
+        coords.update(w for _, w in line_points(params, w0, v, drops))
     return RecoveryPlan(params=params, w0=tuple(w0), family_index=family_index,
                         lines=tuple((v, frozenset(d)) for v, d in lines),
                         coordinates=frozenset(coords))
@@ -111,132 +104,3 @@ def recover_symbol(codeword, plan: RecoveryPlan) -> tuple:
         graded.append(q_j)
     return tuple(graded[sum(i)].coefficient(i)
                  for i in monomials_below(params.s, params.m))
-
-
-# ---------------------------------------------------------------------------
-# descriptor transforms: binary expansion and replication
-# ---------------------------------------------------------------------------
-
-def descriptor_field(descriptor: dict):
-    """The base field a descriptor's codeword entries live in."""
-    from .gf import Field
-    from .multiplicity import params_from_descriptor
-
-    family = descriptor.get("family")
-    if family == "multiplicity":
-        return params_from_descriptor(descriptor).field
-    if family in ("array", "binary-expansion"):
-        return Field(2)
-    if family == "replication":
-        return descriptor_field(descriptor["base"])
-    raise ValueError(f"unknown code family {family!r}")
-
-
-def binary_expand(descriptor: dict) -> dict:
-    """Replace every base-field coordinate of a characteristic-2 code by
-    its bits.  Every recovering map is linear over the prime subfield, so
-    expanded recovering sets recover each bit; with one bit per symbol
-    the transform is the identity.
-    """
-    fld = descriptor_field(descriptor)
-    if fld.p != 2:
-        raise ValueError(
-            "binary expansion is only supported in characteristic 2")
-    if fld.e == 1:
-        return descriptor
-    return {"family": "binary-expansion", "base": descriptor}
-
-
-def replicate(descriptor: dict, copies: int) -> dict:
-    """Serve one message through ``copies`` full codeword replicas; each
-    information symbol gains a disjoint batch of recovering sets per
-    replica, multiplying availability by ``copies``."""
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if copies == 1:
-        return descriptor
-    return {"family": "replication", "copies": copies, "base": descriptor}
-
-
-# ---------------------------------------------------------------------------
-# redundancy-exponent curves: redundancy O(n^delta) at availability n^eps
-# ---------------------------------------------------------------------------
-
-def pir_delta_qary(s: int, eps: Fraction) -> Fraction:
-    """Redundancy exponent over large alphabets for a given variable count."""
-    eps = Fraction(eps)
-    if s < 2:
-        raise ValueError("need s >= 2")
-    if s * (1 - eps) <= 1:
-        raise ValueError(f"s={s} is inadmissible for eps={eps}")
-    return 1 - Fraction(1, s) + eps / (s - 1)
-
-
-def pir_delta_binary(s: int, eps: Fraction) -> Fraction:
-    """Binary redundancy exponent for a given variable count."""
-    eps = Fraction(eps)
-    if s < 2:
-        raise ValueError("need s >= 2")
-    if s * (1 - eps) <= 1:
-        raise ValueError(f"s={s} is inadmissible for eps={eps}")
-    return 1 - Fraction(s * (1 - eps) - 1, 2 * s * (s - 1))
-
-
-def optimal_s_qary(eps: Fraction) -> int:
-    eps = Fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
-    return max(2, int(Fraction(2, 1) / (1 - eps)))
-
-
-def _admissible_range(eps: Fraction):
-    s_min = 2
-    while s_min * (1 - eps) <= 1:
-        s_min += 1
-    # both exponents worsen for large s; a generous cap keeps the argmin exact
-    s_max = max(s_min + 4, int(Fraction(2) / (1 - eps)) + 4)
-    return range(s_min, s_max + 1)
-
-
-def optimal_s_binary(eps: Fraction) -> int:
-    eps = Fraction(eps)
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
-    return min(_admissible_range(eps), key=lambda s: (pir_delta_binary(s, eps), s))
-
-
-def pir_delta_curves(eps_grid, s_values=None, variant="qary") -> list:
-    """Rows (epsilon, s, delta_s, s_star, delta_star) for the requested
-    variable counts; epsilon >= 1 rows carry the replication exponent
-    delta = epsilon with no s."""
-    if variant not in ("qary", "binary"):
-        raise ValueError(f"unknown variant {variant!r}")
-    delta = pir_delta_qary if variant == "qary" else pir_delta_binary
-    best_s = optimal_s_qary if variant == "qary" else optimal_s_binary
-    rows = []
-    for eps in eps_grid:
-        eps = Fraction(eps)
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
-        if eps >= 1:
-            rows.append({"epsilon": eps, "s": None, "delta": eps,
-                         "s_star": None, "delta_star": eps, "variant": variant})
-            continue
-        s_star = best_s(eps)
-        delta_star = min(delta(s, eps) for s in _admissible_range(eps))
-        for s in (s_values if s_values is not None else [s_star]):
-            if s * (1 - eps) <= 1:
-                continue
-            rows.append({"epsilon": eps, "s": s, "delta": delta(s, eps),
-                         "s_star": s_star, "delta_star": delta_star,
-                         "variant": variant})
-    return rows
-
-
-def curve_csv(rows) -> str:
-    """Render curve rows as CSV with columns epsilon,s,delta,variant."""
-    lines = ["epsilon,s,delta,variant"]
-    for row in rows:
-        s = "" if row["s"] is None else str(row["s"])
-        lines.append(f"{float(row['epsilon'])},{s},{float(row['delta'])},{row['variant']}")
-    return "\n".join(lines) + "\n"

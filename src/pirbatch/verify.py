@@ -163,15 +163,11 @@ def _sets_disjoint(sets):
     return True
 
 
-def certify_pir(G: GeneratorMatrix, claims, k: int,
-                position_targets=None) -> Report:
+def certify_pir(G: GeneratorMatrix, claims, k: int) -> Report:
     """Check that every target's k claimed sets are valid recovering sets
     and pairwise disjoint.
 
-    ``claims`` maps a target id to its list of coordinate sets.  By
-    default a target id is a message index; ``position_targets`` may map
-    target ids to lists of codeword positions instead, in which case each
-    set must recover all of them.
+    ``claims`` maps a message index to its list of coordinate sets.
     """
     report = Report(kind="pir")
     for target, sets in claims.items():
@@ -181,15 +177,9 @@ def certify_pir(G: GeneratorMatrix, claims, k: int,
         if not _sets_disjoint(sets):
             problems.append("sets overlap")
         for si, R in enumerate(sets):
-            if position_targets is None:
-                ok, _ = is_recovering_set(G, target, R)
-                if not ok:
-                    problems.append(f"set {si} does not recover message {target}")
-            else:
-                for pos in position_targets[target]:
-                    ok, _ = is_recovering_position(G, pos, R)
-                    if not ok:
-                        problems.append(f"set {si} does not recover position {pos}")
+            ok, _ = is_recovering_set(G, target, R)
+            if not ok:
+                problems.append(f"set {si} does not recover message {target}")
         report.record(target, "; ".join(problems) or None)
     return report
 

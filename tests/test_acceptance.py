@@ -8,10 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from pirbatch import cli
+from pirbatch import codes, curves
 from pirbatch.array_code import (
     ArrayCodeParams,
-    batch_redundancy_exponent,
     build_rk_batch,
     encode_array,
     five_batch_code,
@@ -21,12 +20,14 @@ from pirbatch.array_code import (
     plan_five_batch,
     recover_bit,
 )
-from pirbatch.batch_mult import (
+from pirbatch.batch_mult import plan_batch, recover_batch, validate_batch_params
+from pirbatch.curves import (
     batch_delta_binary,
     batch_delta_qary,
-    plan_batch,
-    recover_batch,
-    validate_batch_params,
+    batch_redundancy_exponent,
+    optimal_s_qary,
+    pir_delta_binary,
+    pir_delta_qary,
 )
 from pirbatch.gf import Field, is_prime
 from pirbatch.mpoly import Poly, monomials_of_weight
@@ -39,13 +40,7 @@ from pirbatch.multiplicity import (
     systematic_encode,
     systematic_view,
 )
-from pirbatch.pir import (
-    optimal_s_qary,
-    pir_delta_binary,
-    pir_delta_qary,
-    pir_recovery_plans,
-    recover_symbol,
-)
+from pirbatch.pir import pir_recovery_plans, recover_symbol
 from pirbatch.verify import (
     certify_pir,
     extract_generator,
@@ -111,7 +106,7 @@ def test_acceptance_1_multiplicity_pir():
                     G, base_position(params, w0, c), R)
                 assert ok
     # the same sets phrased per information symbol
-    runtime = cli.MultiplicityRuntime(params)
+    runtime = codes.MultiplicityRuntime(params)
     report = certify_pir(G, {i: runtime.recovering_sets(i)
                              for i in range(params.base_dim)}, 3)
     assert report.ok
@@ -181,7 +176,7 @@ def test_acceptance_5_array_pir():
     start = time.time()
     params = ArrayCodeParams(rows=5, cols=5, slopes=(0, 1, 2))
     assert params.redundancy == 15 == 3 * 5  # k * sqrt(n) at n = 25
-    runtime = cli.ArrayRuntime(params)
+    runtime = codes.ArrayRuntime(params)
     G = extract_generator(runtime.field, runtime.encode, 25, 40)
     report = certify_pir(G, {i: runtime.recovering_sets(i) for i in range(25)}, 3)
     assert report.ok
@@ -198,7 +193,7 @@ def test_acceptance_6_array_batch():
     params = build_rk_batch(3, 2)
     assert (params.cols, params.dim, params.redundancy) == (73, 219, 146)
     assert params.rate == F(3, 5)
-    runtime = cli.ArrayRuntime(params)
+    runtime = codes.ArrayRuntime(params)
     G = extract_generator(runtime.field, runtime.encode, 219, 365)
     valid_cache = {}
     count = 0
@@ -267,12 +262,12 @@ def test_acceptance_9_curve_reproduction():
     assert pir_delta_binary(3, F(0)) == F(5, 6)
     assert batch_delta_binary(F(1, 5)) == F(9, 10)
     assert optimal_s_qary(F(0)) == 2 and pir_delta_qary(2, F(0)) == F(1, 2)
-    rows = cli.curve_series("pir-binary", F(1, 10))
+    rows = curves.curve_series("pir-binary", F(1, 10))
     table = {(eps, series): delta for eps, delta, series in rows}
     for eps in grid:
         if 3 * (1 - eps) > 1:
             assert table[(eps, "delta_s3")] == pir_delta_binary(3, eps)
-    brows = cli.curve_series("batch", F(1, 10))
+    brows = curves.curve_series("batch", F(1, 10))
     btable = {(eps, series): delta for eps, delta, series in brows}
     for eps in grid:
         if eps < F(1, 2):
@@ -281,7 +276,7 @@ def test_acceptance_9_curve_reproduction():
         else:
             assert btable[(eps, "tail")] == F(1, 2) + eps
     # arg-min switch point of the two batch constructions
-    cross = cli.batch_crossover()
+    cross = curves.batch_crossover()
     assert cross["formula"] == F(1, 8)
     assert cross["matches_quoted"] is False  # quoted 0.0755 differs from 1/8
     for eps in [F(i, 1000) for i in range(0, 500, 7)]:
@@ -302,11 +297,11 @@ def test_acceptance_10_oracle_equivalence():
     instances = []
     for rows, cols, slopes in ((2, 3, (0, 1)), (2, 3, (0, 1, 2)), (3, 3, (0, 1))):
         params = ArrayCodeParams(rows=rows, cols=cols, slopes=slopes)
-        rt = cli.ArrayRuntime(params)
+        rt = codes.ArrayRuntime(params)
         instances.append(("array", rt))
     for m, d, s, q in ((1, 1, 1, 3), (1, 1, 1, 5), (1, 2, 1, 5), (2, 2, 1, 5),
                        (1, 1, 1, 4), (1, 1, 2, 3)):
-        rt = cli.MultiplicityRuntime(mult_params(m, d, s, q))
+        rt = codes.MultiplicityRuntime(mult_params(m, d, s, q))
         instances.append(("multiplicity", rt))
     checked = 0
     for label, rt in instances:

@@ -7,7 +7,6 @@ import pytest
 from pirbatch.array_code import (
     ArrayCodeParams,
     BatchPlanningError,
-    batch_redundancy_exponent,
     build_rk_batch,
     params_for_dimension,
     diagonal,
@@ -23,6 +22,7 @@ from pirbatch.array_code import (
     recover_bit,
     to_descriptor,
 )
+from pirbatch.curves import batch_redundancy_exponent
 from pirbatch.gf import is_prime
 
 

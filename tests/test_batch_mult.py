@@ -4,15 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from pirbatch.batch_mult import (
-    BatchPlan,
-    batch_delta_binary,
-    batch_delta_curves,
-    batch_delta_qary,
-    plan_batch,
-    recover_batch,
-    validate_batch_params,
-)
+from pirbatch import batch_mult
+from pirbatch.array_code import BatchPlanningError
+from pirbatch.batch_mult import BatchPlan, plan_batch, recover_batch, validate_batch_params
+from pirbatch.curves import batch_delta_binary, batch_delta_qary
 from pirbatch.gf import Field
 from pirbatch.multiplicity import MultCodeParams, code_points, encode_poly
 from pirbatch.pir import pir_recovery_plans
@@ -58,6 +53,17 @@ def test_repeated_point_disjoint():
     a, b = plan.plans
     assert a.family_index != b.family_index
     assert not (a.coordinates & b.coordinates)
+
+
+def test_overlapping_plans_raise_planning_error(monkeypatch):
+    # one plan for every request makes the coordinate sets overlap; the
+    # check must hold under python -O, so it cannot be an assert
+    bp = validate_batch_params(P2411, 2)
+    shared = pir_recovery_plans(P2411, (0, 0))[0]
+    monkeypatch.setattr(batch_mult, "make_plan", lambda *args: shared)
+    with pytest.raises(BatchPlanningError) as info:
+        plan_batch(bp, [(0, 0), (1, 1)])
+    assert info.value.request == ((0, 0), (1, 1))
 
 
 def test_plan_deterministic():
@@ -129,7 +135,6 @@ def test_curve_formulas():
     assert batch_delta_qary(Fraction(0)) == Fraction(3, 4)
     assert batch_delta_binary(Fraction(1, 2)) == 1
     assert batch_delta_qary(Fraction(3, 4)) == Fraction(5, 4)
-    rows = batch_delta_curves([Fraction(0), Fraction(1, 5)], variant="binary")
-    assert [r["delta"] for r in rows] == [Fraction(5, 6), Fraction(9, 10)]
+    assert batch_delta_binary(0) == Fraction(5, 6)
     with pytest.raises(ValueError):
         batch_delta_qary(-1)

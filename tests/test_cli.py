@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from pirbatch import cli
-from pirbatch.pir import binary_expand, replicate
+from pirbatch import cli, codes, curves, multiplicity
+from pirbatch.codes import binary_expand, replicate
+from pirbatch.gf import CapacityError, Field
+
+MULT = {"family": "multiplicity", "m": 2, "d": 2, "s": 2, "q": 7, "modulus": [0, 1]}
+ARR = {"family": "array", "r": 5, "p": 5, "S": [0, 1, 2], "global_parity": False}
 
 
 def run(args):
@@ -92,7 +96,7 @@ def test_replicated_three_pir_has_six_disjoint_sets(capsys):
 
     arr = {"family": "array", "r": 5, "p": 5, "S": [0, 1, 2],
            "global_parity": False}
-    rt = cli.build_runtime(replicate(arr, 2))
+    rt = codes.build_runtime(replicate(arr, 2))
     assert rt.k == 6 and rt.N == 80
     G = extract_generator(rt.field, rt.encode, rt.n, rt.N)
     report = certify_pir(G, {i: rt.recovering_sets(i) for i in range(rt.n)}, 6)
@@ -104,7 +108,7 @@ def test_expanded_code_certifies_and_roundtrips(capsys):
 
     desc = binary_expand({"family": "multiplicity", "m": 1, "d": 1, "s": 1,
                           "q": 4, "modulus": [1, 1, 1]})
-    rt = cli.build_runtime(desc)
+    rt = codes.build_runtime(desc)
     G = extract_generator(rt.field, rt.encode, rt.n, rt.N)
     report = certify_pir(G, {i: rt.recovering_sets(i) for i in range(rt.n)},
                          rt.k)
@@ -156,18 +160,49 @@ def test_corrupted_descriptor_exit_2(tmp_path, capsys):
     assert run(["certify", str(bad), "--mode", "pir"]) == 2
 
 
+@pytest.mark.parametrize("desc,field", [
+    ({**MULT, "q": "7"}, "q"),
+    ({**MULT, "m": 2.0}, "m"),
+    ({**ARR, "S": "01"}, "S"),
+    ({"family": "replication", "copies": "2", "base": ARR}, "copies"),
+    ({"family": "replication", "copies": 2, "base": "arr.json"}, "base"),
+])
+def test_malformed_descriptor_exit_2(desc, field, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert run(["roundtrip", str(path)]) == 2
+    assert repr(field) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("desc", [
+    {"family": "replication", "copies": 10 ** 9, "base": ARR},
+    {"family": "multiplicity", "m": 1, "d": 0, "s": 40, "q": 2},
+    {"family": "multiplicity", "m": 1, "d": 0, "s": 1, "q": 2 ** 61 - 1},
+])
+def test_oversized_descriptor_fails_before_building(desc, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the code was built before its size was checked")
+
+    # enumerating q^s points, or trial division up to a prime q, would
+    # run for hours; neither may start
+    monkeypatch.setattr(multiplicity, "code_points", refuse)
+    monkeypatch.setattr(Field, "from_order", classmethod(refuse))
+    with pytest.raises(CapacityError):
+        codes.build_runtime(desc)
+
+
 def test_transform_descriptors():
     mult = {"family": "multiplicity", "m": 1, "d": 1, "s": 1, "q": 4,
             "modulus": [1, 1, 1]}
     expanded = binary_expand(mult)
     assert expanded == {"family": "binary-expansion", "base": mult}
-    runtime = cli.build_runtime(expanded)
+    runtime = codes.build_runtime(expanded)
     assert runtime.N == 8 and runtime.n == 4 and runtime.k == 1
     arr = {"family": "array", "r": 2, "p": 3, "S": [0, 1], "global_parity": False}
     assert binary_expand(arr) == arr  # one bit per symbol: identity
     assert replicate(arr, 1) == arr
     rep = replicate(arr, 2)
-    rt = cli.build_runtime(rep)
+    rt = codes.build_runtime(rep)
     assert rt.N == 24 and rt.k == 4
     with pytest.raises(ValueError, match="characteristic 2"):
         binary_expand({"family": "multiplicity", "m": 1, "d": 1, "s": 1,
@@ -215,9 +250,9 @@ def test_curves_table_format(capsys):
 
 
 def test_lower_bound_at_quarter():
-    assert cli.piecewise(cli.LOWER_BOUND_CURVE, Fraction(1, 4)) == Fraction(1, 2)
+    assert curves.piecewise(curves.LOWER_BOUND_CURVE, Fraction(1, 4)) == Fraction(1, 2)
 
 
 def test_unknown_family_errors():
     with pytest.raises(ValueError, match="unknown code family"):
-        cli.build_runtime({"family": "mystery"})
+        codes.build_runtime({"family": "mystery"})

@@ -4,20 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from pirbatch.gf import Field
-from pirbatch.mpoly import Poly, monomials_of_weight
-from pirbatch.multiplicity import MultCodeParams, code_points, encode_poly
-from pirbatch.pir import (
-    build_direction_families,
+from pirbatch.curves import (
     curve_csv,
     optimal_s_binary,
     optimal_s_qary,
     pir_delta_binary,
     pir_delta_curves,
     pir_delta_qary,
-    pir_recovery_plans,
-    recover_symbol,
 )
+from pirbatch.gf import Field
+from pirbatch.mpoly import Poly, monomials_of_weight
+from pirbatch.multiplicity import MultCodeParams, code_points, encode_poly
+from pirbatch.pir import build_direction_families, pir_recovery_plans, recover_symbol
 from tests.test_mpoly import random_poly
 
 
