@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import array_code, batch_mult, multiplicity, pir
-from .gf import MAX_FIELD_SIZE, CapacityError, Field
+from .gf import CapacityError, Field, check_field_size
 
 # Longest codeword, in base-field coordinates, a descriptor may describe.
 MAX_LENGTH = 10 ** 6
@@ -29,6 +29,51 @@ _FIELDS = {
 _OPTIONAL = ("modulus", "global_parity")
 
 
+class _Shifted:
+    """A codeword read at every position plus an offset: one replica of a
+    replicated codeword, without copying it."""
+
+    __slots__ = ("codeword", "offset")
+
+    def __init__(self, codeword, offset):
+        self.codeword = codeword
+        self.offset = offset
+
+    def __getitem__(self, j):
+        return self.codeword[j + self.offset]
+
+
+class _Packed:
+    """A bit-level codeword read as base-field symbols, each from its
+    extension-degree bits, one position at a time."""
+
+    __slots__ = ("codeword", "field")
+
+    def __init__(self, codeword, field):
+        self.codeword = codeword
+        self.field = field
+
+    def __getitem__(self, j):
+        e = self.field.e
+        return self.field.from_coeffs([self.codeword[j * e + b] for b in range(e)])
+
+
+class _Symbols:
+    """A flat base-field codeword read as one symbol per point: the
+    point-keyed mapping `pir.recover_symbol` gathers from.  ``slots``
+    maps each point to the range of its symbol's flat positions."""
+
+    __slots__ = ("codeword", "slots")
+
+    def __init__(self, codeword, slots):
+        self.codeword = codeword
+        self.slots = slots
+
+    def __getitem__(self, w):
+        cw = self.codeword
+        return [cw[j] for j in self.slots[w]]
+
+
 class MultiplicityRuntime:
     family = "multiplicity"
 
@@ -41,34 +86,36 @@ class MultiplicityRuntime:
         self.k = params.k_pir
         self.info_positions = list(self.view.info_positions)
         self._plans = {}
+        self._slots = None
 
     def encode(self, message):
         return multiplicity.systematic_encode(self.view, message).base_values()
-
-    def _plans_for(self, w0):
-        if w0 not in self._plans:
-            self._plans[w0] = pir.pir_recovery_plans(self.params, w0)
-        return self._plans[w0]
 
     def _expand_points(self, points):
         width = self.params.symbol_width
         return frozenset(multiplicity.base_position(self.params, w, c)
                          for w in points for c in range(width))
 
+    def _plans_for(self, i):
+        """(the plans recovering information symbol i, the component of
+        its point's symbol that it is)."""
+        if i not in self._plans:
+            point, component = divmod(self.info_positions[i], self.params.symbol_width)
+            w0 = multiplicity.code_points(self.params)[point]
+            self._plans[i] = pir.pir_recovery_plans(self.params, w0), component
+        return self._plans[i]
+
     def recovering_sets(self, i):
-        pos = self.info_positions[i]
-        w0 = multiplicity.code_points(self.params)[pos // self.params.symbol_width]
-        return [self._expand_points(p.coordinates) for p in self._plans_for(w0)]
+        return [self._expand_points(p.coordinates) for p in self._plans_for(i)[0]]
 
     def recover_info(self, codeword, i, set_index):
-        pos = self.info_positions[i]
-        width = self.params.symbol_width
-        w0 = multiplicity.code_points(self.params)[pos // width]
-        plan = self._plans_for(w0)[set_index]
-        symbols = {w: tuple(codeword[multiplicity.base_position(self.params, w, c)]
-                            for c in range(width))
-                   for w in plan.coordinates}
-        return pir.recover_symbol(symbols, plan)[pos % width]
+        if self._slots is None:
+            width = self.params.symbol_width
+            self._slots = {w: range(t * width, (t + 1) * width)
+                           for t, w in enumerate(multiplicity.code_points(self.params))}
+        plans, component = self._plans_for(i)
+        return pir.recover_symbol(_Symbols(codeword, self._slots),
+                                  plans[set_index])[component]
 
     # batch targets are symbol positions (points), identified by index
     def batch_targets(self):
@@ -191,11 +238,8 @@ class ExpandedRuntime:
     def recover_info(self, codeword, i, set_index):
         base_i, bit = divmod(i, self.bits)
         fld = self.base.field
-        e = self.bits
-        base_set = self.base.recovering_sets(base_i)[set_index]
-        view = {j: fld.from_coeffs([codeword[j * e + b] for b in range(e)])
-                for j in base_set}
-        return fld.coeffs(self.base.recover_info(view, base_i, set_index))[bit]
+        symbol = self.base.recover_info(_Packed(codeword, fld), base_i, set_index)
+        return fld.coeffs(symbol)[bit]
 
     def profile(self):
         return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
@@ -235,10 +279,7 @@ class ReplicatedRuntime:
 
     def recover_info(self, codeword, i, set_index):
         c, base_idx = divmod(set_index, self.base.k)
-        off = c * self.base.N
-        base_set = self.base.recovering_sets(i)[base_idx]
-        view = {j: codeword[j + off] for j in base_set}
-        return self.base.recover_info(view, i, base_idx)
+        return self.base.recover_info(_Shifted(codeword, c * self.base.N), i, base_idx)
 
     def profile(self):
         return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
@@ -286,8 +327,7 @@ def build_runtime(descriptor: dict):
     family = _check_fields(descriptor)
     if family == "multiplicity":
         q, s = descriptor["q"], descriptor["s"]
-        if q > MAX_FIELD_SIZE:
-            raise CapacityError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
+        check_field_size(q)
         # q >= 2, so q^s alone passes the cap once s reaches the cap's bit
         # length; checking s first keeps base_length from a huge power
         if s >= MAX_LENGTH.bit_length():

@@ -12,6 +12,10 @@ indexing throughout the package (0 first, 1 second, then the rest).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 MAX_FIELD_SIZE = 1 << 16
 
 # fields up to this size get an eagerly built multiplication table
@@ -20,6 +24,12 @@ _TABLE_LIMIT = 64
 
 class CapacityError(ValueError):
     """A desk-scale size guard was exceeded."""
+
+
+def check_field_size(q: int) -> None:
+    """Refuse a field order above the cap before anything factors it."""
+    if q > MAX_FIELD_SIZE:
+        raise CapacityError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
 
 
 def is_prime(n: int) -> bool:
@@ -120,8 +130,7 @@ class Field:
         if e < 1:
             raise ValueError("extension_degree must be >= 1")
         q = p ** e
-        if q > MAX_FIELD_SIZE:
-            raise CapacityError(f"field size {q} exceeds cap {MAX_FIELD_SIZE}")
+        check_field_size(q)
         if modulus is None:
             modulus = (0, 1) if e == 1 else _smallest_irreducible(p, e)
         else:
@@ -144,7 +153,9 @@ class Field:
 
     @classmethod
     def from_order(cls, q: int, modulus=None) -> "Field":
-        """Build GF(q) for a prime power q."""
+        """Build GF(q) for a prime power q; the size cap is checked before
+        q is factored, since trial division up to a large prime never ends."""
+        check_field_size(q)
         if q < 2:
             raise ValueError(f"{q} is not a prime power")
         p = 2
@@ -272,3 +283,67 @@ class Field:
         if self.e == 1:
             return f"Field({self.p})"
         return f"Field({self.p}, {self.e}, modulus={list(self.modulus)})"
+
+
+# ---------------------------------------------------------------------------
+# vectorised products over numpy int arrays of field elements
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _log_tables(field: Field):
+    """(log, antilog) of a proper extension field over a primitive element;
+    the antilog table is doubled so a sum of two logs needs no reduction."""
+    q = field.q
+    for g in range(2, q):
+        powers, x = [1], g
+        while x != 1:
+            powers.append(x)
+            x = field.mul(x, g)
+        if len(powers) == q - 1:
+            break
+    antilog = np.array(powers * 2, dtype=np.int64)
+    log = np.zeros(q, dtype=np.int64)
+    log[antilog[:q - 1]] = np.arange(q - 1)
+    return log, antilog
+
+
+def multiply(field: Field, a, b) -> np.ndarray:
+    """Entry-by-entry product of int arrays of elements, broadcasting as
+    numpy does; extension fields go through log and antilog tables."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if field.e == 1:
+        return a * b % field.p
+    log, antilog = _log_tables(field)
+    return np.where((a == 0) | (b == 0), 0, antilog[log[a] + log[b]])
+
+
+# entries of the largest product block that `matmul` forms at once over an
+# extension field
+_BLOCK = 1 << 20
+
+
+def matmul(field: Field, a, b) -> np.ndarray:
+    """a @ b over the field for int arrays of elements, b a matrix or a
+    vector; on lists it equals `linalg.matvec` and `linalg.matmul`.
+
+    Prime fields take an int64 product mod p.  Extension fields form the
+    entry products through `multiply`, a block of rows of a at a time,
+    and add them digit by digit mod p, which for p = 2 is an XOR.
+    """
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if field.e == 1:
+        return (a @ b) % field.p
+    bb = b if b.ndim == 2 else b[:, None]
+    p, place = field.p, field.p ** np.arange(field.e, dtype=np.int64)
+    step = max(1, _BLOCK // max(1, bb.size))
+    blocks = []
+    for lo in range(0, max(1, a.shape[0]), step):
+        prod = multiply(field, a[lo:lo + step, :, None], bb[None, :, :])
+        if p == 2:
+            blocks.append(np.bitwise_xor.reduce(prod, axis=1))
+        else:
+            blocks.append((prod[..., None] // place % p).sum(axis=1) % p @ place)
+    out = np.concatenate(blocks)
+    return out if b.ndim == 2 else out[:, 0]

@@ -317,6 +317,33 @@ def _lagrange_basis(field, nodes):
     return out
 
 
+def grid_axes(points, degree: int, s: int) -> list:
+    """The sorted axes A_1, ..., A_{s-1} of a grid A_1 x ... x A_{s-1} x {1}
+    on which homogeneous polynomials of the given degree in s variables
+    are determined by their values; ValueError when the points are not
+    such a grid."""
+    if degree < 0 or s < 1:
+        raise ValueError("degree must be >= 0 and s >= 1")
+    pts = set(points)
+    if any(len(p) != s for p in pts):
+        raise ValueError("sample points must have s coordinates")
+    if any(p[-1] != 1 for p in pts):
+        raise ValueError("grid points must have last coordinate 1")
+    if s == 1:
+        if pts != {(1,)}:
+            raise ValueError("for one variable the grid is the single point (1,)")
+        return []
+    axes = [sorted({p[i] for p in pts}) for i in range(s - 1)]
+    if any(len(a) < degree + 1 for a in axes):
+        raise ValueError("grid too small for this degree")
+    expect = 1
+    for a in axes:
+        expect *= len(a)
+    if len(pts) != expect:
+        raise ValueError("samples do not form a full grid")
+    return axes
+
+
 def homogeneous_interpolate(field, degree: int, samples, s: int) -> Poly:
     """The unique homogeneous polynomial of the given total degree in s
     variables matching ``samples`` on a grid A_1 x ... x A_{s-1} x {1}.
@@ -327,26 +354,10 @@ def homogeneous_interpolate(field, degree: int, samples, s: int) -> Poly:
     regrading every total-degree-t monomial with the last variable to
     the power degree-t.
     """
-    if degree < 0 or s < 1:
-        raise ValueError("degree must be >= 0 and s >= 1")
     pts = {tuple(p) for p in samples}
-    if any(len(p) != s for p in pts):
-        raise ValueError("sample points must have s coordinates")
-    if any(p[-1] != 1 for p in pts):
-        raise ValueError("grid points must have last coordinate 1")
+    axes = grid_axes(pts, degree, s)
     if s == 1:
-        if pts != {(1,)}:
-            raise ValueError("for one variable the grid is the single point (1,)")
         return Poly(field, 1, {(degree,): samples[(1,)]})
-
-    axes = [sorted({p[i] for p in pts}) for i in range(s - 1)]
-    if any(len(a) < degree + 1 for a in axes):
-        raise ValueError("grid too small for this degree")
-    expect = 1
-    for a in axes:
-        expect *= len(a)
-    if len(pts) != expect:
-        raise ValueError("samples do not form a full grid")
 
     bases = [_lagrange_basis(field, a) for a in axes]
     node_pos = [{a: i for i, a in enumerate(axis)} for axis in axes]

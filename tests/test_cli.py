@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -189,6 +190,15 @@ def test_oversized_descriptor_fails_before_building(desc, monkeypatch):
     monkeypatch.setattr(Field, "from_order", classmethod(refuse))
     with pytest.raises(CapacityError):
         codes.build_runtime(desc)
+
+
+def test_build_flags_check_field_size_before_factoring(capsys):
+    # 2^31 - 1 is prime: trial division up to it would not finish
+    start = time.perf_counter()
+    assert run(["build", "multiplicity", "--m", "1", "--d", "0", "--s", "1",
+                "--q", "2147483647"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "exceeds cap" in capsys.readouterr().err
 
 
 def test_transform_descriptors():

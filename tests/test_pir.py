@@ -2,8 +2,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pirbatch import gf, linalg, mpoly, pir
+from pirbatch.batch_mult import plan_batch, validate_batch_params
 from pirbatch.curves import (
     curve_csv,
     optimal_s_binary,
@@ -13,9 +18,15 @@ from pirbatch.curves import (
     pir_delta_qary,
 )
 from pirbatch.gf import Field
-from pirbatch.mpoly import Poly, monomials_of_weight
-from pirbatch.multiplicity import MultCodeParams, code_points, encode_poly
-from pirbatch.pir import build_direction_families, pir_recovery_plans, recover_symbol
+from pirbatch.mpoly import DecodeFailure, Poly, monomials_of_weight
+from pirbatch.multiplicity import MultCodeParams, code_points, encode_poly, line_points
+from pirbatch.pir import (
+    build_direction_families,
+    interpolate_symbol,
+    pir_recovery_plans,
+    recover_symbol,
+    recovery_operator,
+)
 from tests.test_mpoly import random_poly
 
 
@@ -117,6 +128,147 @@ def test_recover_m1_matches_lagrange():
     ys = [cw[(x,)][0] for x in xs]
     expected = lagrange_oracle(ps.field, xs, ys).evaluate((2,))
     assert recover_symbol(cw, plan) == (expected,)
+
+
+# ---------------------------------------------------------------------------
+# compiled recovery against the interpolation oracle
+# ---------------------------------------------------------------------------
+
+# GF(p) and the extension fields GF(4), GF(8), GF(9)
+FIELD_ORDERS = [2, 3, 5, 7, 4, 8, 9]
+PROPERTY = settings(max_examples=30, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _batch_ready(ps, k):
+    try:
+        validate_batch_params(ps, k)
+    except ValueError:
+        return False
+    return True
+
+
+def _small_codes(batch):
+    """(m, d, s, q) with s in {1, 2, 3} and at most 125 points whose PIR
+    plans exist, and for batch=True whose 2-batch inequalities hold."""
+    out = []
+    for q, s, m in itertools.product(FIELD_ORDERS, (1, 2, 3), (1, 2, 3)):
+        if q ** s <= 125 and q // m >= 1:
+            out.extend((m, d, s, q) for d in range(m * (q - 1))
+                       if not batch or _batch_ready(params(m, d, s, q), 2))
+    return out
+
+
+PIR_CODES = _small_codes(batch=False)
+BATCH_CODES = _small_codes(batch=True)
+
+
+def _both(codeword, plan):
+    """Each recovery's symbol, or "fail" where it raises DecodeFailure."""
+    out = []
+    for recover in (recover_symbol, interpolate_symbol):
+        try:
+            out.append(recover(codeword, plan))
+        except DecodeFailure:
+            out.append("fail")
+    return out
+
+
+def _check_plan(ps, cw, plan, rng):
+    """Both recoveries return the symbol at w0, and agree on restrictions
+    with one corrupted coordinate and with one line spliced in from
+    another codeword, which only the grid check can reject."""
+    assert recover_symbol(cw, plan) == interpolate_symbol(cw, plan) == cw[plan.w0]
+    restricted = {w: list(cw[w]) for w in plan.points}
+    w = plan.points[rng.randrange(len(plan.points))]
+    c = rng.randrange(ps.symbol_width)
+    restricted[w][c] = ps.field.add(restricted[w][c], rng.randrange(1, ps.q))
+    compiled, oracle = _both(restricted, plan)
+    assert compiled == oracle
+    other = encode_poly(ps, random_poly(ps.field, ps.s, ps.d, rng))
+    v, drops = plan.lines[rng.randrange(len(plan.lines))]
+    spliced = {w: cw[w] for w in plan.points}
+    spliced.update((w, other[w]) for _, w in line_points(ps, plan.w0, v, drops))
+    compiled, oracle = _both(spliced, plan)
+    assert compiled == oracle
+
+
+@PROPERTY
+@given(code=st.sampled_from(PIR_CODES), seed=st.integers(0, 2 ** 32))
+def test_compiled_matches_oracle_on_pir_plans(code, seed):
+    ps, rng = params(*code), random.Random(seed)
+    cw = encode_poly(ps, random_poly(ps.field, ps.s, ps.d, rng))
+    pts = code_points(ps)
+    for plan in pir_recovery_plans(ps, pts[rng.randrange(len(pts))]):
+        _check_plan(ps, cw, plan, rng)
+
+
+@PROPERTY
+@given(code=st.sampled_from(BATCH_CODES), seed=st.integers(0, 2 ** 32))
+def test_compiled_matches_oracle_on_batch_plans(code, seed):
+    ps, k, rng = params(*code), 2, random.Random(seed)
+    cw = encode_poly(ps, random_poly(ps.field, ps.s, ps.d, rng))
+    pts = code_points(ps)
+    batch = plan_batch(validate_batch_params(ps, k),
+                       [pts[rng.randrange(len(pts))] for _ in range(k)])
+    for plan in batch.plans:
+        _check_plan(ps, cw, plan, rng)
+
+
+def test_batch_plans_with_drops_match_oracle():
+    # requests on one line make the other request's lines drop points
+    ps = params(2, 4, 2, 11)
+    bp = validate_batch_params(ps, 2)
+    rng = random.Random(41)
+    cw = encode_poly(ps, random_poly(ps.field, 2, 4, rng))
+    dropped = 0
+    for req in ([(0, 0), (0, 5)], [(2, 1), (2, 10)], [(3, 3), (4, 4)]):
+        for plan in plan_batch(bp, req).plans:
+            dropped += sum(len(drops) for _, drops in plan.lines)
+            _check_plan(ps, cw, plan, rng)
+    assert dropped > 0
+
+
+def test_operator_shared_across_targets():
+    ps = params(2, 4, 2, 11)
+    a = pir_recovery_plans(ps, (0, 0))
+    b = pir_recovery_plans(ps, (7, 3))
+    for pa, pb in zip(a, b):
+        assert recovery_operator(pa) is recovery_operator(pb)
+
+
+def test_recover_symbol_does_not_interpolate(monkeypatch):
+    ps = params(2, 2, 2, 9)
+    cw = encode_poly(ps, random_poly(ps.field, 2, 2, random.Random(5)))
+    plans = pir_recovery_plans(ps, (4, 1))
+    for plan in plans:
+        recovery_operator(plan)  # compiling may interpolate; querying may not
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the query path interpolated")
+
+    # pir binds the solver and basis builders itself, so a query that
+    # recompiled would call these names, not mpoly's
+    for name in ("hermite_interpolate", "homogeneous_interpolate",
+                 "_hermite_solver", "_lagrange_basis"):
+        monkeypatch.setattr(pir, name, refuse)
+    monkeypatch.setattr(mpoly, "_hermite_solver", refuse)
+    for plan in plans:
+        assert recover_symbol(cw, plan) == cw[(4, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 3, 5, 4, 8, 9, 27, 256]), rows=st.integers(1, 5),
+       cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
+def test_gf_matmul_matches_linalg(q, rows, cols, seed):
+    fld, rng = Field.from_order(q), random.Random(seed)
+    matrix = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+    vec = [rng.choice([0, rng.randrange(q)]) for _ in range(cols)]
+    assert gf.matmul(fld, np.array(matrix), vec).tolist() == \
+        linalg.matvec(fld, matrix, vec)
+    other = [[rng.randrange(q) for _ in range(3)] for _ in range(cols)]
+    assert gf.matmul(fld, matrix, other).tolist() == \
+        linalg.matmul(fld, matrix, other)
 
 
 def test_grid_uniqueness_exhaustive():
