@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from functools import lru_cache
 
 from . import array_code, curves, multiplicity, verify
 from .codes import binary_expand, build_runtime, replicate
@@ -242,7 +243,10 @@ def _parse_ints(text):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so one parser serves every `main` call."""
     top = argparse.ArgumentParser(
         prog="pirbatch",
         description="Construct, encode and certify PIR and batch codes.")

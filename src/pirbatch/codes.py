@@ -86,15 +86,14 @@ class MultiplicityRuntime:
         self.k = params.k_pir
         self.info_positions = list(self.view.info_positions)
         self._plans = {}
-        self._slots = None
+        self._slots = multiplicity.symbol_slots(params)
 
     def encode(self, message):
         return multiplicity.systematic_encode(self.view, message).base_values()
 
     def _expand_points(self, points):
-        width = self.params.symbol_width
-        return frozenset(multiplicity.base_position(self.params, w, c)
-                         for w in points for c in range(width))
+        slots = self._slots
+        return frozenset(j for w in points for j in slots[w])
 
     def _plans_for(self, i):
         """(the plans recovering information symbol i, the component of
@@ -109,10 +108,6 @@ class MultiplicityRuntime:
         return [self._expand_points(p.coordinates) for p in self._plans_for(i)[0]]
 
     def recover_info(self, codeword, i, set_index):
-        if self._slots is None:
-            width = self.params.symbol_width
-            self._slots = {w: range(t * width, (t + 1) * width)
-                           for t, w in enumerate(multiplicity.code_points(self.params))}
         plans, component = self._plans_for(i)
         return pir.recover_symbol(_Symbols(codeword, self._slots),
                                   plans[set_index])[component]
@@ -220,14 +215,16 @@ class ExpandedRuntime:
                                for b in range(self.bits)]
 
     def encode(self, message):
-        e = self.bits
-        fld = self.base.field
-        base_msg = [fld.from_coeffs(message[i * e:(i + 1) * e])
-                    for i in range(self.base.n)]
-        out = []
-        for v in self.base.encode(base_msg):
-            out.extend(fld.coeffs(v))
-        return out
+        import numpy as np
+
+        bits = np.asarray(message, dtype=np.int64)
+        if bits.shape != (self.n,) or not np.isin(bits, (0, 1)).all():
+            raise ValueError(f"expected {self.n} message bits")
+        # an element's bits are its coefficients, lowest power first
+        place = np.arange(self.bits)
+        base_msg = (bits.reshape(self.base.n, self.bits) << place).sum(axis=1)
+        symbols = np.asarray(self.base.encode(base_msg.tolist()))
+        return (symbols[:, None] >> place & 1).ravel().tolist()
 
     def _expand(self, coords):
         return frozenset(j * self.bits + b for j in coords for b in range(self.bits))

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 MAX_FIELD_SIZE = 1 << 16
 
 # fields up to this size get an eagerly built multiplication table
@@ -153,21 +151,11 @@ class Field:
 
     @classmethod
     def from_order(cls, q: int, modulus=None) -> "Field":
-        """Build GF(q) for a prime power q; the size cap is checked before
-        q is factored, since trial division up to a large prime never ends."""
+        """GF(q) for a prime power q, built once per (q, modulus); the
+        size cap is checked before q is factored, since trial division up
+        to a large prime never ends."""
         check_field_size(q)
-        if q < 2:
-            raise ValueError(f"{q} is not a prime power")
-        p = 2
-        while q % p:
-            p += 1
-        e, n = 0, q
-        while n % p == 0:
-            n //= p
-            e += 1
-        if n != 1:
-            raise ValueError(f"{q} is not a prime power")
-        return cls(p, e, modulus)
+        return _field_of_order(q, None if modulus is None else tuple(modulus))
 
     # -- element codec ------------------------------------------------------
 
@@ -285,14 +273,44 @@ class Field:
         return f"Field({self.p}, {self.e}, modulus={list(self.modulus)})"
 
 
+@lru_cache(maxsize=None)
+def _field_of_order(q: int, modulus) -> Field:
+    if q < 2:
+        raise ValueError(f"{q} is not a prime power")
+    p = 2
+    while q % p:
+        p += 1
+    e, n = 0, q
+    while n % p == 0:
+        n //= p
+        e += 1
+    if n != 1:
+        raise ValueError(f"{q} is not a prime power")
+    return Field(p, e, modulus)
+
+
 # ---------------------------------------------------------------------------
 # vectorised products over numpy int arrays of field elements
+#
+# numpy is imported inside the functions that use it, here and across the
+# package, so a process that serves only array codes (Python ints and
+# bitmasks throughout) never loads it.
 # ---------------------------------------------------------------------------
+
+def narrow(field: Field, a) -> np.ndarray:
+    """An array of elements in the narrowest unsigned type that holds
+    them, for matrices kept for the life of the process."""
+    import numpy as np
+
+    return np.asarray(a).astype(np.uint8 if field.q <= 256 else np.uint16)
+
 
 @lru_cache(maxsize=None)
 def _log_tables(field: Field):
     """(log, antilog) of a proper extension field over a primitive element;
     the antilog table is doubled so a sum of two logs needs no reduction."""
+    import numpy as np
+
     q = field.q
     for g in range(2, q):
         powers, x = [1], g
@@ -310,6 +328,8 @@ def _log_tables(field: Field):
 def multiply(field: Field, a, b) -> np.ndarray:
     """Entry-by-entry product of int arrays of elements, broadcasting as
     numpy does; extension fields go through log and antilog tables."""
+    import numpy as np
+
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
@@ -324,26 +344,32 @@ _BLOCK = 1 << 20
 
 
 def matmul(field: Field, a, b) -> np.ndarray:
-    """a @ b over the field for int arrays of elements, b a matrix or a
-    vector; on lists it equals `linalg.matvec` and `linalg.matmul`.
+    """a @ b over the field for int arrays of elements, each of a and b a
+    matrix or a vector, with numpy's shape rules; on lists it equals
+    `linalg.matvec` and `linalg.matmul`.
 
     Prime fields take an int64 product mod p.  Extension fields form the
     entry products through `multiply`, a block of rows of a at a time,
     and add them digit by digit mod p, which for p = 2 is an XOR.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
         return (a @ b) % field.p
+    aa = a if a.ndim == 2 else a[None, :]
     bb = b if b.ndim == 2 else b[:, None]
     p, place = field.p, field.p ** np.arange(field.e, dtype=np.int64)
     step = max(1, _BLOCK // max(1, bb.size))
     blocks = []
-    for lo in range(0, max(1, a.shape[0]), step):
-        prod = multiply(field, a[lo:lo + step, :, None], bb[None, :, :])
+    for lo in range(0, max(1, aa.shape[0]), step):
+        prod = multiply(field, aa[lo:lo + step, :, None], bb[None, :, :])
         if p == 2:
             blocks.append(np.bitwise_xor.reduce(prod, axis=1))
         else:
             blocks.append((prod[..., None] // place % p).sum(axis=1) % p @ place)
     out = np.concatenate(blocks)
-    return out if b.ndim == 2 else out[:, 0]
+    if b.ndim == 1:
+        out = out[:, 0]
+    return out if a.ndim == 2 else out[0]

@@ -1,7 +1,8 @@
 """Dense linear algebra over a Field: elimination, inversion, span tests.
 
 Matrices are lists of row lists of ints.  Everything here is exact and
-desk-scale; a bitmask fast path covers GF(2).
+desk-scale; span solving has a bitmask path for GF(2) and a numpy path
+for the other prime fields.
 """
 
 from __future__ import annotations
@@ -84,15 +85,26 @@ def solve_in_span(field, columns, target):
     """Coefficients expressing ``target`` as a combination of ``columns``,
     or None when target is outside their span.
 
-    Free coefficients are set to zero, so the answer is deterministic.
+    Free coefficients are set to zero, so the answer is deterministic:
+    the pivot columns of a matrix do not depend on how it is reduced, so
+    every path below returns the same coefficients.  GF(2) runs on
+    bitmasks, other prime fields on numpy, and extension fields on
+    `solve_by_elimination`, the pure-Python oracle.
     """
-    if not columns:
+    if len(columns) == 0:
         return [] if not any(target) else None
-    n = len(target)
     if field.q == 2:
         masks = [_pack(col) for col in columns]
         sol = solve_in_span_gf2(masks, _pack(target))
         return None if sol is None else [(sol >> i) & 1 for i in range(len(columns))]
+    if field.e == 1:
+        return _solve_mod_p(field.p, columns, target)
+    return solve_by_elimination(field, columns, target)
+
+
+def solve_by_elimination(field, columns, target):
+    """`solve_in_span` by exact elimination on lists of field elements."""
+    n = len(target)
     # eliminate on rows of [columns | target]
     work = [[col[r] for col in columns] + [target[r]] for r in range(n)]
     ncols = len(columns)
@@ -109,6 +121,40 @@ def solve_in_span(field, columns, target):
     return coeffs
 
 
+def _solve_mod_p(p, columns, target):
+    """Gauss-Jordan on [columns | target] mod a prime p.  Each pivot is
+    the first column with a nonzero below the rows already reduced, so
+    the pivot columns are the first ones independent of those before."""
+    import numpy as np
+
+    work = np.column_stack([np.asarray(columns, dtype=np.int64).T,
+                            np.asarray(target, dtype=np.int64)]) % p
+    nrows, ncols = work.shape[0], work.shape[1] - 1
+    pivots = []
+    col = 0
+    while len(pivots) < nrows:  # at full rank every target is reached
+        r = len(pivots)
+        live = np.flatnonzero(work[r:, col:ncols].any(axis=0))
+        if live.size == 0:
+            break
+        col += int(live[0])
+        lead = r + int(np.flatnonzero(work[r:, col])[0])
+        if lead != r:
+            work[[r, lead]] = work[[lead, r]]
+        work[r] = work[r] * pow(int(work[r, col]), p - 2, p) % p
+        factors = work[:, col].copy()
+        factors[r] = 0
+        work = (work - factors[:, None] * work[r]) % p
+        pivots.append(col)
+        col += 1
+    if work[len(pivots):, ncols].any():
+        return None
+    coeffs = [0] * ncols
+    for r, col in enumerate(pivots):
+        coeffs[col] = int(work[r, ncols])
+    return coeffs
+
+
 def _pack(vec):
     m = 0
     for i, v in enumerate(vec):
@@ -121,21 +167,26 @@ def solve_in_span_gf2(column_masks, target_mask):
     """GF(2) span membership on bitmask columns.
 
     Returns a mask over column indices whose XOR equals the target, or
-    None when unreachable.
+    None when unreachable.  The mask holds only columns independent of
+    those before them, as `solve_in_span` sets free coefficients to zero.
     """
-    basis = []  # (vector, combo) with distinct leading bits, descending
+    basis = {}  # leading bit -> (vector, combo); every vector has its own
     for idx, col in enumerate(column_masks):
         v, combo = col, 1 << idx
-        for bv, bc in basis:
-            if v ^ bv < v:
-                v ^= bv
-                combo ^= bc
-        if v:
-            basis.append((v, combo))
-            basis.sort(key=lambda t: -t[0])
+        while v:
+            top = v.bit_length() - 1
+            if top not in basis:
+                basis[top] = (v, combo)
+                break
+            bv, bc = basis[top]
+            v ^= bv
+            combo ^= bc
     t, sol = target_mask, 0
-    for bv, bc in basis:
-        if t ^ bv < t:
-            t ^= bv
-            sol ^= bc
-    return sol if t == 0 else None
+    while t:
+        top = t.bit_length() - 1
+        if top not in basis:
+            return None
+        bv, bc = basis[top]
+        t ^= bv
+        sol ^= bc
+    return sol

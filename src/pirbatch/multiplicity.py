@@ -11,12 +11,13 @@ derivative-component-minor.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from . import linalg
+from . import gf, linalg
 from .gf import Field
 from .mpoly import (
     Poly,
@@ -54,7 +55,7 @@ class MultCodeParams:
     def num_points(self) -> int:
         return self.q ** self.s
 
-    @property
+    @cached_property
     def symbol_width(self) -> int:
         """Base-field entries per symbol."""
         return count_monomials(self.s, self.m)
@@ -76,6 +77,14 @@ class MultCodeParams:
 def code_points(params: MultCodeParams) -> tuple:
     """All q^s coordinate points in codeword order."""
     return tuple(itertools.product(range(params.q), repeat=params.s))
+
+
+@lru_cache(maxsize=None)
+def symbol_slots(params: MultCodeParams) -> dict:
+    """Each point's range of flat base-field positions."""
+    width = params.symbol_width
+    return {w: range(t * width, (t + 1) * width)
+            for t, w in enumerate(code_points(params))}
 
 
 def point_index(params: MultCodeParams, w) -> int:
@@ -119,8 +128,7 @@ class MultCodeword:
     def from_base_values(cls, params, values):
         if len(values) != params.base_length:
             raise ValueError("wrong base-field length")
-        w = params.symbol_width
-        return cls(params, [tuple(values[i:i + w]) for i in range(0, len(values), w)])
+        return cls(params, zip(*[iter(values)] * params.symbol_width))
 
 
 def encode_poly(params: MultCodeParams, P: Poly) -> MultCodeword:
@@ -138,11 +146,15 @@ def encode_poly(params: MultCodeParams, P: Poly) -> MultCodeword:
 class SystematicView:
     """Information positions plus the invertible map from information
     values to polynomial coefficients (rows index info symbols, columns
-    index basis monomials in graded-lex order)."""
+    index basis monomials in graded-lex order), and the systematic
+    generator it gives, stored transposed: ``generator[j]`` is the
+    information-to-coordinate-j map, so a codeword is
+    ``generator @ info`` over GF(q)."""
 
     params: MultCodeParams
     info_positions: tuple
     transform: tuple
+    generator: np.ndarray = dataclasses.field(repr=False, compare=False)
 
 
 @lru_cache(maxsize=None)
@@ -174,27 +186,20 @@ def systematic_view(params: MultCodeParams) -> SystematicView:
     sub = [[rows[r][c] for c in pivots] for r in range(n)]
     transform = linalg.invert(field, sub)
     return SystematicView(params, tuple(pivots),
-                          tuple(tuple(r) for r in transform))
-
-
-def coefficients_from_info(view: SystematicView, info) -> list:
-    field = view.params.field
-    n = len(view.info_positions)
-    if len(info) != n:
-        raise ValueError(f"expected {n} information symbols, got {len(info)}")
-    # info row-vector times transform
-    cols = list(zip(*view.transform))
-    return [linalg._dot(field, info, col) for col in cols]
+                          tuple(tuple(r) for r in transform),
+                          gf.narrow(field, gf.matmul(field, transform, rows).T))
 
 
 def systematic_encode(view: SystematicView, info) -> MultCodeword:
-    """Encode so the base-field values at info_positions equal ``info``."""
+    """Encode so the base-field values at info_positions equal ``info``:
+    one product with the stored generator.  `encode_poly` of the
+    polynomial with coefficients ``info @ transform`` is its oracle."""
     params = view.params
-    coeffs = coefficients_from_info(view, info)
-    basis = monomials_up_to_degree(params.s, params.d)
-    P = Poly(params.field, params.s,
-             {i: c for i, c in zip(basis, coeffs) if c})
-    return encode_poly(params, P)
+    n = len(view.info_positions)
+    if len(info) != n:
+        raise ValueError(f"expected {n} information symbols, got {len(info)}")
+    values = gf.matmul(params.field, view.generator, info).tolist()
+    return MultCodeword.from_base_values(params, values)
 
 
 def extract_info(view: SystematicView, codeword: MultCodeword) -> list:

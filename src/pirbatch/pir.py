@@ -19,8 +19,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import gf
 from .mpoly import (
     DecodeFailure,
@@ -125,7 +123,7 @@ class RecoveryOperator:
     def __init__(self, field, width, matrix):
         self.field = field
         self.width = width
-        self.matrix = matrix.astype(np.uint8 if field.q <= 256 else np.uint16)
+        self.matrix = gf.narrow(field, matrix)
 
     def apply(self, x) -> tuple:
         y = gf.matmul(self.field, self.matrix, x)
@@ -144,6 +142,8 @@ def recovery_operator(plan: RecoveryPlan) -> RecoveryOperator:
 def _compile(params, lines) -> RecoveryOperator:
     """R stacks the grid mixing over the lines' coefficient rows; H holds
     the mixing's vanishing rows and every line's residual rows."""
+    import numpy as np
+
     field, m = params.field, params.m
     blocks = [_line_operator(params, v, drops) for v, drops in lines]
     ncols = sum(coef.shape[1] for coef, _ in blocks)
@@ -165,6 +165,8 @@ def _line_operator(params, v, drops):
     point's symbol, by increasing lambda): C gives the first m
     coefficients of the interpolated univariate restriction, and H the
     nonzero rows of its Hermite residual."""
+    import numpy as np
+
     field, m = params.field, params.m
     lams = [lam for lam in range(1, params.q) if lam not in drops]
     solver = _hermite_solver(
@@ -193,6 +195,8 @@ def _grid_mixing(params, grid):
     j, the weights turning the grid's j-th line coefficients into the
     derivative at w0; then one row per coefficient of the dehomogenised
     degree-j interpolant of total degree above j, which must vanish."""
+    import numpy as np
+
     field, m, s = params.field, params.m, params.s
     axes = grid_axes(grid, m - 1, s)
     bases = [_lagrange_basis(field, axis) for axis in axes]

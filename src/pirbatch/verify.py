@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cached_property
 
 from . import linalg
 from .gf import CapacityError
@@ -28,7 +27,8 @@ DEFAULT_REQUEST_LIMIT = 10 ** 6
 @dataclass(frozen=True)
 class GeneratorMatrix:
     """Systematic n x N generator: rows encode the unit messages and the
-    columns at info_positions form an identity."""
+    columns at info_positions form an identity.  The columns, and over
+    GF(2) their bitmasks, are derived from the rows once, on first use."""
 
     field: object
     rows: tuple
@@ -42,8 +42,17 @@ class GeneratorMatrix:
     def N(self) -> int:
         return len(self.rows[0])
 
+    @cached_property
+    def columns(self) -> tuple:
+        return tuple(zip(*self.rows))
+
+    @cached_property
+    def masks(self) -> tuple:
+        """Column j over GF(2) as an int whose bit r is its entry in row r."""
+        return tuple(map(linalg._pack, zip(*self.rows)))
+
     def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
+        return self.columns[j]
 
 
 def extract_generator(fld, encoder, n, N, trials=50, rng=None) -> GeneratorMatrix:
@@ -66,17 +75,17 @@ def extract_generator(fld, encoder, n, N, trials=50, rng=None) -> GeneratorMatri
         rhs = [fld.add(x, y) for x, y in zip(encoder(a), encoder(b))]
         if lhs != rhs:
             raise ValueError("encoder is not additive; cannot certify as linear")
-    info = _detect_info_positions(fld, rows)
-    return GeneratorMatrix(field=fld, rows=tuple(tuple(r) for r in rows),
+    info = _detect_info_positions(rows)
+    return GeneratorMatrix(field=fld, rows=tuple(map(tuple, rows)),
                            info_positions=info)
 
 
-def _detect_info_positions(fld, rows):
+def _detect_info_positions(rows):
+    """The first unit column for each row."""
     n = len(rows)
     found = {}
-    for j in range(len(rows[0])):
-        col = tuple(row[j] for row in rows)
-        nz = [r for r in range(n) if col[r]]
+    for j, col in enumerate(zip(*rows)):
+        nz = [r for r, v in enumerate(col) if v]
         if len(nz) == 1 and col[nz[0]] == 1 and nz[0] not in found:
             found[nz[0]] = j
     if len(found) < n:
@@ -89,6 +98,8 @@ def is_recovering_set(G: GeneratorMatrix, i: int, R):
     """Whether message symbol i is a function of the coordinates in R;
     for a linear code that is membership of the unit vector in the
     restricted column span.  Returns (ok, coefficients or None)."""
+    if G.field.q == 2:
+        return _solve_recovery(G, 1 << i, R)
     target = [0] * G.n
     target[i] = 1
     return _solve_recovery(G, target, R)
@@ -96,12 +107,18 @@ def is_recovering_set(G: GeneratorMatrix, i: int, R):
 
 def is_recovering_position(G: GeneratorMatrix, j: int, R):
     """Same test for an arbitrary codeword position j."""
-    return _solve_recovery(G, list(G.column(j)), R)
+    return _solve_recovery(G, G.masks[j] if G.field.q == 2 else G.column(j), R)
 
 
 def _solve_recovery(G, target, R):
+    """``target`` is a column, over GF(2) its bitmask."""
     cols_idx = sorted(R)
-    coeffs = linalg.solve_in_span(G.field, [G.column(j) for j in cols_idx], target)
+    if G.field.q == 2:
+        masks = G.masks
+        sol = linalg.solve_in_span_gf2([masks[j] for j in cols_idx], target)
+        coeffs = None if sol is None else [sol >> t & 1 for t in range(len(cols_idx))]
+    else:
+        coeffs = linalg.solve_in_span(G.field, [G.column(j) for j in cols_idx], target)
     if coeffs is None:
         return False, None
     return True, {j: c for j, c in zip(cols_idx, coeffs) if c}
@@ -251,7 +268,7 @@ def min_distance(G: GeneratorMatrix, symbol_size: int = 1) -> int:
         raise ValueError("symbol_size must divide the code length")
     if fld.e == 1:
         return _min_distance_prime(G, symbol_size)
-    columns = list(zip(*G.rows))
+    columns = G.columns
     best = None
     for msg in itertools.product(range(q), repeat=n):
         if not any(msg):
@@ -265,6 +282,8 @@ def min_distance(G: GeneratorMatrix, symbol_size: int = 1) -> int:
 
 
 def _min_distance_prime(G, symbol_size):
+    import numpy as np
+
     q, n, N = G.field.q, G.n, G.N
     gen = np.array(G.rows, dtype=np.int64)
     total = q ** n

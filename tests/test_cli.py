@@ -46,6 +46,21 @@ def test_build_usage_error(capsys):
     assert run(["build", "array"]) == 2
 
 
+def test_parse_error_does_not_change_the_next_command(capsys):
+    # one parser serves every call in a process
+    assert cli._build_parser() is cli._build_parser()
+    build = ["build", "array", "--r", "5", "--p", "5", "--slopes", "0,1,2"]
+    assert run(build) == 0
+    first = capsys.readouterr().out
+    assert run(["build", "array", "--r", "five"]) == 2
+    assert run(["certify", "code.json", "--mode", "both"]) == 2
+    assert run(["build", "array", "--five-batch", "--p", "5", "--nope"]) == 2
+    assert run(["encode"]) == 2
+    capsys.readouterr()
+    assert run(build) == 0
+    assert capsys.readouterr().out == first
+
+
 def test_certify_pir_array(tmp_path, capsys):
     desc = tmp_path / "arr.json"
     run(["build", "array", "--r", "5", "--p", "5", "--slopes", "0,1,2",

@@ -52,6 +52,14 @@ def test_enumerate_order():
     assert [f4.coeffs(a) for a in f4.elements()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
+def test_from_order_builds_each_field_once():
+    assert Field.from_order(8) is Field.from_order(8)
+    assert Field.from_order(9, modulus=[1, 0, 1]) is Field.from_order(9, modulus=(1, 0, 1))
+    assert Field.from_order(9, modulus=[2, 2, 1]) != Field.from_order(9)
+    with pytest.raises(ValueError):
+        Field.from_order(6)
+
+
 def test_smallest_prime_above():
     assert smallest_prime_above(72) == 73
     assert smallest_prime_above(1) == 2

@@ -1,10 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from pirbatch import linalg
 from pirbatch.gf import Field
-from pirbatch.mpoly import Poly, univariate
+from pirbatch.mpoly import Poly, count_degree, monomials_up_to_degree, univariate
 from pirbatch.multiplicity import (
     MultCodeParams,
     MultCodeword,
@@ -97,6 +101,28 @@ def test_systematic_info_positions_identity():
         info = [rng.randrange(ps.q) for _ in range(ps.base_dim)]
         cw = systematic_encode(view, info)
         assert extract_info(view, cw) == info
+
+
+# (m, d, s, q) over GF(p) and GF(4), GF(8), GF(9) with s in {1, 2, 3}, at
+# most 125 points and 40 information symbols
+SMALL_CODES = [(m, d, s, q)
+               for q, s, m in itertools.product([2, 3, 5, 7, 4, 8, 9], (1, 2, 3), (1, 2, 3))
+               if q ** s <= 125
+               for d in range(m * q) if count_degree(s, d) <= 40]
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(code=st.sampled_from(SMALL_CODES), seed=st.integers(0, 2 ** 32))
+def test_compiled_systematic_encode_matches_encode_poly(code, seed):
+    ps, rng = params(*code), random.Random(seed)
+    view = systematic_view(ps)
+    info = [rng.choice([0, rng.randrange(ps.q)]) for _ in range(ps.base_dim)]
+    # the polynomial through info: coefficients info @ transform
+    coeffs = linalg.matmul(ps.field, [info], view.transform)[0]
+    P = Poly(ps.field, ps.s, dict(zip(monomials_up_to_degree(ps.s, ps.d), coeffs)))
+    cw = systematic_encode(view, info)
+    assert cw == encode_poly(ps, P)
+    assert extract_info(view, cw) == info
 
 
 def line_restriction_oracle(P, w0, v):

@@ -269,6 +269,9 @@ def test_gf_matmul_matches_linalg(q, rows, cols, seed):
     other = [[rng.randrange(q) for _ in range(3)] for _ in range(cols)]
     assert gf.matmul(fld, matrix, other).tolist() == \
         linalg.matmul(fld, matrix, other)
+    row = [rng.randrange(q) for _ in range(rows)]
+    assert gf.matmul(fld, row, np.array(matrix)).tolist() == \
+        linalg.matmul(fld, [row], matrix)[0]
 
 
 def test_grid_uniqueness_exhaustive():

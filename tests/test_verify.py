@@ -245,3 +245,39 @@ def test_oracle_agreement_multiplicity():
         for R in itertools.combinations(range(3), r):
             ok, _ = is_recovering_set(G, 0, set(R))
             assert ok == functional_recovery_oracle(G, 0, set(R))
+
+
+def _minimal_claims():
+    """(G, claims, k) whose every claimed set has independent columns:
+    array diagonals over GF(2), and two-point sets of Reed-Solomon codes
+    over GF(5) and GF(8), where any two columns are independent."""
+    params = ArrayCodeParams(rows=3, cols=5, slopes=(0, 1))
+    G = extract_generator(GF2, array_encoder(params), 15, 25)
+    yield G, {i: pir_sets_for_bit(params, divmod(i, 5)) for i in range(15)}, 2
+    for q in (5, 8):
+        fld = Field.from_order(q)
+        params = MultCodeParams(field=fld, m=1, d=1, s=1)
+        G = extract_generator(fld, mult_encoder(params), 2, q)
+        yield G, {0: [{2, 3}, {1, 4}], 1: [{2, 3}, {0, 4}]}, 2
+
+
+@pytest.mark.parametrize("G,claims,k", list(_minimal_claims()),
+                         ids=["gf2-array", "gf5-rs", "gf8-rs"])
+def test_changing_one_generator_entry_fails_certification(G, claims, k):
+    # With c the certified coefficients of a set R for message i, adding
+    # -1/c_j at row i of a column j of R makes the columns of R sum to
+    # zero with weights c; as they were independent, e_i leaves their span.
+    fld = G.field
+    assert certify_pir(G, claims, k).ok
+    for i, sets in claims.items():
+        for si, R in enumerate(sets):
+            ok, coeffs = is_recovering_set(G, i, R)
+            assert ok
+            j = min(coeffs)
+            rows = [list(r) for r in G.rows]
+            rows[i][j] = fld.sub(rows[i][j], fld.inv(coeffs[j]))
+            bad = GeneratorMatrix(field=fld, rows=tuple(map(tuple, rows)),
+                                  info_positions=G.info_positions)
+            report = certify_pir(bad, claims, k)
+            assert f"set {si} does not recover message {i}" in dict(report.failures)[i]
+    assert certify_pir(G, claims, k).ok
