@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import array_code, batch_mult, multiplicity, pir
-from .gf import CapacityError, Field, check_field_size
+from .gf import CapacityError, Field, check_field_size, np
 
 # Longest codeword, in base-field coordinates, a descriptor may describe.
 MAX_LENGTH = 10 ** 6
@@ -215,8 +215,6 @@ class ExpandedRuntime:
                                for b in range(self.bits)]
 
     def encode(self, message):
-        import numpy as np
-
         bits = np.asarray(message, dtype=np.int64)
         if bits.shape != (self.n,) or not np.isin(bits, (0, 1)).all():
             raise ValueError(f"expected {self.n} message bits")

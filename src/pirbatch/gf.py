@@ -291,26 +291,37 @@ def _field_of_order(q: int, modulus) -> Field:
 
 # ---------------------------------------------------------------------------
 # vectorised products over numpy int arrays of field elements
-#
-# numpy is imported inside the functions that use it, here and across the
-# package, so a process that serves only array codes (Python ints and
-# bitmasks throughout) never loads it.
 # ---------------------------------------------------------------------------
+
+class _LazyNumpy:
+    """numpy, imported on first attribute access.  Every module takes
+    ``np`` from here, so a process that serves only array codes (Python
+    ints and bitmasks throughout) never loads it."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        value = getattr(numpy, name)
+        setattr(self, name, value)  # later accesses skip this method
+        return value
+
+
+np = _LazyNumpy()
+
 
 def narrow(field: Field, a) -> np.ndarray:
     """An array of elements in the narrowest unsigned type that holds
-    them, for matrices kept for the life of the process."""
-    import numpy as np
-
-    return np.asarray(a).astype(np.uint8 if field.q <= 256 else np.uint16)
+    them, for matrices kept for the life of the process.  The array is
+    read-only: cached matrices are shared by every caller."""
+    out = np.asarray(a).astype(np.uint8 if field.q <= 256 else np.uint16)
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _log_tables(field: Field):
     """(log, antilog) of a proper extension field over a primitive element;
     the antilog table is doubled so a sum of two logs needs no reduction."""
-    import numpy as np
-
     q = field.q
     for g in range(2, q):
         powers, x = [1], g
@@ -328,8 +339,6 @@ def _log_tables(field: Field):
 def multiply(field: Field, a, b) -> np.ndarray:
     """Entry-by-entry product of int arrays of elements, broadcasting as
     numpy does; extension fields go through log and antilog tables."""
-    import numpy as np
-
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
@@ -352,8 +361,6 @@ def matmul(field: Field, a, b) -> np.ndarray:
     entry products through `multiply`, a block of rows of a at a time,
     and add them digit by digit mod p, which for p = 2 is an XOR.
     """
-    import numpy as np
-
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:

@@ -1,11 +1,13 @@
 """Dense linear algebra over a Field: elimination, inversion, span tests.
 
 Matrices are lists of row lists of ints.  Everything here is exact and
-desk-scale; span solving has a bitmask path for GF(2) and a numpy path
-for the other prime fields.
+desk-scale; span solving has a numpy path for prime fields and a bitmask
+one, `solve_in_span_gf2`, for callers that keep GF(2) columns packed.
 """
 
 from __future__ import annotations
+
+from .gf import np
 
 
 def matvec(field, rows, v):
@@ -87,16 +89,12 @@ def solve_in_span(field, columns, target):
 
     Free coefficients are set to zero, so the answer is deterministic:
     the pivot columns of a matrix do not depend on how it is reduced, so
-    every path below returns the same coefficients.  GF(2) runs on
-    bitmasks, other prime fields on numpy, and extension fields on
-    `solve_by_elimination`, the pure-Python oracle.
+    both paths below, and `solve_in_span_gf2` on bitmask columns, return
+    the same coefficients.  Prime fields run on numpy, extension fields
+    on `solve_by_elimination`, the pure-Python oracle.
     """
     if len(columns) == 0:
         return [] if not any(target) else None
-    if field.q == 2:
-        masks = [_pack(col) for col in columns]
-        sol = solve_in_span_gf2(masks, _pack(target))
-        return None if sol is None else [(sol >> i) & 1 for i in range(len(columns))]
     if field.e == 1:
         return _solve_mod_p(field.p, columns, target)
     return solve_by_elimination(field, columns, target)
@@ -124,9 +122,9 @@ def solve_by_elimination(field, columns, target):
 def _solve_mod_p(p, columns, target):
     """Gauss-Jordan on [columns | target] mod a prime p.  Each pivot is
     the first column with a nonzero below the rows already reduced, so
-    the pivot columns are the first ones independent of those before."""
-    import numpy as np
-
+    the pivot columns are the first ones independent of those before.
+    Each pivot costs tens of µs of numpy call overhead, more than pure
+    elimination only on systems of a few columns."""
     work = np.column_stack([np.asarray(columns, dtype=np.int64).T,
                             np.asarray(target, dtype=np.int64)]) % p
     nrows, ncols = work.shape[0], work.shape[1] - 1

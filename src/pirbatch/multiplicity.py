@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from . import gf, linalg
-from .gf import Field
+from .gf import Field, np
 from .mpoly import (
     Poly,
     count_degree,

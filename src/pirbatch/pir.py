@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import gf
+from .gf import np
 from .mpoly import (
     DecodeFailure,
     _hermite_solver,
@@ -142,8 +143,6 @@ def recovery_operator(plan: RecoveryPlan) -> RecoveryOperator:
 def _compile(params, lines) -> RecoveryOperator:
     """R stacks the grid mixing over the lines' coefficient rows; H holds
     the mixing's vanishing rows and every line's residual rows."""
-    import numpy as np
-
     field, m = params.field, params.m
     blocks = [_line_operator(params, v, drops) for v, drops in lines]
     ncols = sum(coef.shape[1] for coef, _ in blocks)
@@ -165,8 +164,6 @@ def _line_operator(params, v, drops):
     point's symbol, by increasing lambda): C gives the first m
     coefficients of the interpolated univariate restriction, and H the
     nonzero rows of its Hermite residual."""
-    import numpy as np
-
     field, m = params.field, params.m
     lams = [lam for lam in range(1, params.q) if lam not in drops]
     solver = _hermite_solver(
@@ -195,8 +192,6 @@ def _grid_mixing(params, grid):
     j, the weights turning the grid's j-th line coefficients into the
     derivative at w0; then one row per coefficient of the dehomogenised
     degree-j interpolant of total degree above j, which must vanish."""
-    import numpy as np
-
     field, m, s = params.field, params.m, params.s
     axes = grid_axes(grid, m - 1, s)
     bases = [_lagrange_basis(field, axis) for axis in axes]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
-from .gf import CapacityError
+from .gf import CapacityError, np
 
 MIN_DISTANCE_GUARD = 2 * 10 ** 7
 FUNCTIONAL_ORACLE_GUARD = 10 ** 4
@@ -282,8 +282,6 @@ def min_distance(G: GeneratorMatrix, symbol_size: int = 1) -> int:
 
 
 def _min_distance_prime(G, symbol_size):
-    import numpy as np
-
     q, n, N = G.field.q, G.n, G.N
     gen = np.array(G.rows, dtype=np.int64)
     total = q ** n

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -281,3 +284,27 @@ def test_lower_bound_at_quarter():
 def test_unknown_family_errors():
     with pytest.raises(ValueError, match="unknown code family"):
         codes.build_runtime({"family": "mystery"})
+
+
+def test_array_commands_never_load_numpy(tmp_path):
+    # numpy comes in through gf.np on first use; a numpy import anywhere on
+    # the array path would load it for array-only processes too
+    script = """
+import sys
+from pirbatch import cli
+for args in (["build", "array", "--r", "3", "--k", "2", "-o", "rk.json"],
+             ["build", "array", "--five-batch", "--p", "5", "-o", "five.json"],
+             ["certify", "rk.json", "--mode", "pir"],
+             ["certify", "rk.json", "--mode", "batch"],
+             ["certify", "five.json", "--mode", "batch", "--limit", "300"],
+             ["encode", "rk.json", "--random", "-o", "cw.json"],
+             ["recover", "rk.json", "--codeword", "cw.json", "--index", "0"],
+             ["roundtrip", "five.json"]):
+    assert cli.main(args) == 0, args
+assert "numpy" not in sys.modules, "numpy was loaded"
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from pirbatch import linalg
 from pirbatch.gf import Field
 
-# GF(2) on bitmasks, odd primes on numpy; 65521 is the largest prime field
-# a descriptor accepts, where products of two entries need 32 bits
+# numpy for every prime, and bitmasks too at p = 2; 65521 is the largest
+# prime field a descriptor accepts, where products of two entries need 32 bits
 PRIMES = [2, 3, 5, 7, 11, 65521]
 KINDS = ["consistent", "inconsistent", "rank-deficient", "empty", "zero-target"]
 
@@ -43,6 +43,9 @@ def test_prime_field_solve_matches_elimination(p, kind, n, k, seed):
     cols, target = _system(p, kind, n, k, random.Random(seed))
     got = linalg.solve_in_span(fld, cols, target)
     assert got == linalg.solve_by_elimination(fld, cols, target)
+    if p == 2:
+        sol = linalg.solve_in_span_gf2(list(map(linalg._pack, cols)), linalg._pack(target))
+        assert got == (None if sol is None else [sol >> i & 1 for i in range(len(cols))])
     if kind in ("consistent", "rank-deficient", "zero-target"):
         assert got is not None
     if kind == "empty":

@@ -130,6 +130,19 @@ def test_recover_m1_matches_lagrange():
     assert recover_symbol(cw, plan) == (expected,)
 
 
+def test_cached_matrices_are_read_only():
+    # the compiled operator and the systematic generator come out of caches
+    # shared by every caller in the process
+    from pirbatch.multiplicity import systematic_view
+
+    ps = params(2, 2, 2, 7)
+    op = recovery_operator(pir_recovery_plans(ps, (1, 2))[0])
+    for matrix in (op.matrix, systematic_view(ps).generator):
+        assert matrix.dtype == np.uint8
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
+
+
 # ---------------------------------------------------------------------------
 # compiled recovery against the interpolation oracle
 # ---------------------------------------------------------------------------
