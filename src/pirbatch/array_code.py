@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gf import is_prime, smallest_prime_above
-from .linalg import _pack, solve_in_span_gf2
+from .linalg import _bits, _pack, _unpack, solve_in_span_gf2
 
 
 class BatchPlanningError(RuntimeError):
@@ -101,36 +101,42 @@ class ArrayCodeword:
         return out
 
 
-def _flatten_data(params, data):
+def _flatten_data(params, data) -> bytes:
+    """The data bits, given flat or as rows, as bytes of 0 and 1."""
     if len(data) == params.rows and all(
             hasattr(row, "__len__") and len(row) == params.cols for row in data):
         data = [b for row in data for b in row]
-    data = list(data)
     if len(data) != params.dim:
         raise ValueError(f"expected {params.dim} data bits, got {len(data)}")
-    if any(b not in (0, 1) for b in data):
+    bits = _bits(data)
+    if bits is None:
         raise ValueError("data bits must be 0 or 1")
-    return data
+    return bits
 
 
 def encode_array(params: ArrayCodeParams, data) -> ArrayCodeword:
-    """XOR one parity per diagonal per slope, slope-major then offset."""
+    """XOR one parity per diagonal per slope, slope-major then offset.
+
+    On packed words: row i of the array is a p-bit word, and rotating it
+    right by i*s mod p moves the cell (i, t + i*s mod p) of diagonal t to
+    bit t, so the p parities of slope s are the XOR of the r rotated rows.
+    """
     bits = _flatten_data(params, data)
+    word = _pack(bits)
     p = params.cols
-    parities = []
-    for s in params.slopes:
-        for t in range(p):
-            acc = 0
-            for i, j in diagonal(s, t, params.rows, p):
-                acc ^= bits[i * p + j]
-            parities.append(acc)
-    gbit = None
-    if params.global_parity:
-        gbit = 0
-        for b in bits:
-            gbit ^= b
+    full = (1 << p) - 1
+    rows = [word >> (i * p) & full for i in range(params.rows)]
+    parities = 0
+    for ell, s in enumerate(params.slopes):
+        acc = 0
+        for i, row in enumerate(rows):
+            a = i * s % p
+            acc ^= (row >> a | row << (p - a)) & full
+        parities |= acc << (ell * p)
+    gbit = word.bit_count() & 1 if params.global_parity else None
     return ArrayCodeword(params=params, data=tuple(bits),
-                         parities=tuple(parities), global_bit=gbit)
+                         parities=tuple(_unpack(parities, params.k * p)),
+                         global_bit=gbit)
 
 
 def pir_sets_for_bit(params: ArrayCodeParams, cell) -> list:
@@ -140,15 +146,17 @@ def pir_sets_for_bit(params: ArrayCodeParams, cell) -> list:
     i, j = cell
     if not (0 <= i < params.rows and 0 <= j < params.cols):
         raise ValueError(f"cell {cell} outside the array")
-    if params.k >= 2 and not is_prime(params.cols):
-        raise ValueError("disjointness across slopes needs a prime column count")
-    if params.k >= 2 and params.rows > params.cols:
-        raise ValueError("disjointness across slopes needs rows <= cols")
     return list(_pir_sets_cached(params, (i, j)))
 
 
 @lru_cache(maxsize=None)
 def _pir_sets_cached(params: ArrayCodeParams, cell) -> tuple:
+    # checked on every cache miss; a ValueError is not cached, so invalid
+    # params raise on every call
+    if params.k >= 2 and not is_prime(params.cols):
+        raise ValueError("disjointness across slopes needs a prime column count")
+    if params.k >= 2 and params.rows > params.cols:
+        raise ValueError("disjointness across slopes needs rows <= cols")
     i, j = cell
     p = params.cols
     out = []
@@ -164,8 +172,7 @@ def _pir_sets_cached(params: ArrayCodeParams, cell) -> tuple:
 
 @lru_cache(maxsize=None)
 def _pir_set_masks(params: ArrayCodeParams, cell) -> tuple:
-    return tuple(_pack(j in s for j in range(params.length))
-                 for s in _pir_sets_cached(params, cell))
+    return tuple(sum(1 << j for j in s) for s in _pir_sets_cached(params, cell))
 
 
 def has_weighted_ap(slopes, r: int, p: int):

@@ -151,6 +151,7 @@ class ArrayRuntime:
         self.N = params.length
         self.k = params.k
         self.info_positions = list(range(self.n))
+        self._sets = {}  # message index -> its recovering sets
 
     def encode(self, message):
         return array_code.encode_array(self.params, message).codeword()
@@ -159,11 +160,14 @@ class ArrayRuntime:
         return divmod(i, self.params.cols)
 
     def recovering_sets(self, i):
-        return array_code.pir_sets_for_bit(self.params, self._cell(i))
+        sets = self._sets.get(i)
+        if sets is None:
+            sets = self._sets[i] = tuple(
+                array_code.pir_sets_for_bit(self.params, self._cell(i)))
+        return sets
 
     def recover_info(self, codeword, i, set_index):
-        rec = self.recovering_sets(i)[set_index]
-        return array_code.recover_bit(codeword, rec)
+        return array_code.recover_bit(codeword, self.recovering_sets(i)[set_index])
 
     def batch_targets(self):
         return list(range(self.n))

@@ -3,6 +3,8 @@
 Matrices are lists of row lists of ints.  Everything here is exact and
 desk-scale; span solving has a numpy path for prime fields and a bitmask
 one, `solve_in_span_gf2`, for callers that keep GF(2) columns packed.
+`_pack` and `_unpack` convert between 0/1 vectors and those bitmasks, and
+`_bits` checks a vector is one.
 """
 
 from __future__ import annotations
@@ -153,12 +155,33 @@ def _solve_mod_p(p, columns, target):
     return coeffs
 
 
+# byte value -> ASCII binary digit: 0 -> "0", any other value -> "1"
+_DIGIT = b"0" + b"1" * 255
+# ASCII binary digit -> bit value
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _pack(vec):
-    m = 0
-    for i, v in enumerate(vec):
-        if v:
-            m |= 1 << i
-    return m
+    """Int whose bit i is set when vec[i] is nonzero; vec holds ints in
+    [0, 256) (or is bytes).  The digits are reversed so bit 0 comes last."""
+    return int(b"0" + bytes(vec)[::-1].translate(_DIGIT), 2)
+
+
+def _bits(vec):
+    """vec as bytes of 0 and 1, or None when an entry is not 0 or 1."""
+    try:
+        raw = bytes(vec)
+    except (TypeError, ValueError):  # an entry that is not an int in [0, 256)
+        return None
+    return None if raw.translate(None, b"\x00\x01") else raw
+
+
+def _unpack(word, width):
+    """The low ``width`` bits of a nonnegative int below 2**width, bit 0
+    first, as bytes of 0 and 1: the inverse of `_pack`.  A marker bit at
+    ``width`` gives exactly width + 1 digits, the marker first, which the
+    reversing slice drops (width 0 included)."""
+    return format(word | 1 << width, "b")[:0:-1].encode().translate(_BIT)
 
 
 def solve_in_span_gf2(column_masks, target_mask):

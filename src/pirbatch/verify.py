@@ -48,8 +48,13 @@ class GeneratorMatrix:
 
     @cached_property
     def masks(self) -> tuple:
-        """Column j over GF(2) as an int whose bit r is its entry in row r."""
-        return tuple(map(linalg._pack, zip(*self.rows)))
+        """Column j over GF(2) as an int whose bit r is its entry in row r.
+
+        Each row is packed to bytes once; column j is then every N-th byte
+        from j, which `linalg._pack` turns into its mask."""
+        N = self.N
+        flat = b"".join(map(bytes, self.rows))
+        return tuple(linalg._pack(flat[j::N]) for j in range(N))
 
     def column(self, j: int) -> tuple:
         return self.columns[j]
@@ -57,41 +62,100 @@ class GeneratorMatrix:
 
 def extract_generator(fld, encoder, n, N, trials=50, rng=None) -> GeneratorMatrix:
     """Rows are the encodings of the unit messages; additivity is
-    certified on random message pairs before the matrix is trusted."""
+    certified on random message pairs before the matrix is trusted.
+
+    Every encoding must have length N and symbols in [0, q).  Over GF(2)
+    the trial messages are random words, sums are XORs of packed
+    codewords, and the unit columns are found on the column masks; over
+    other fields on the columns.  Either way the generator keeps what it
+    derived for later checks."""
     rng = rng or random.Random(0)
+    packed = fld.q == 2
+    rows = (_extract_rows_gf2 if packed else _extract_rows)(fld, encoder, n, N,
+                                                             trials, rng)
+    G = GeneratorMatrix(field=fld, rows=rows, info_positions=())
+    # set after the fact, so that the unit columns are found on the masks
+    # or columns this generator caches
+    object.__setattr__(G, "info_positions", _unit_columns(G, packed))
+    return G
+
+
+def _unit_rows(encode, n):
+    """The encodings of the n unit messages, as tuples."""
     rows = []
     for i in range(n):
         unit = [0] * n
         unit[i] = 1
-        cw = list(encoder(unit))
-        if len(cw) != N:
-            raise ValueError(f"encoder returned length {len(cw)}, expected {N}")
-        rows.append(cw)
+        rows.append(tuple(encode(unit)))
+    return tuple(rows)
+
+
+def _checked(cw, N):
+    if len(cw) != N:
+        raise ValueError(f"encoder returned length {len(cw)}, expected {N}")
+    return cw
+
+
+def _extract_rows(fld, encoder, n, N, trials, rng):
+    """Unit encodings and additivity trials by field arithmetic."""
+    q = fld.q
+
+    def encode(msg):
+        cw = _checked(list(encoder(msg)), N)
+        if cw and not (0 <= min(cw) and max(cw) < q):
+            raise ValueError(f"encoder returned a symbol outside [0, {q})")
+        return cw
+
+    rows = _unit_rows(encode, n)
     for _ in range(trials):
-        a = [rng.randrange(fld.q) for _ in range(n)]
-        b = [rng.randrange(fld.q) for _ in range(n)]
+        a = [rng.randrange(q) for _ in range(n)]
+        b = [rng.randrange(q) for _ in range(n)]
         ab = [fld.add(x, y) for x, y in zip(a, b)]
-        lhs = list(encoder(ab))
-        rhs = [fld.add(x, y) for x, y in zip(encoder(a), encoder(b))]
+        lhs = encode(ab)
+        rhs = [fld.add(x, y) for x, y in zip(encode(a), encode(b))]
         if lhs != rhs:
             raise ValueError("encoder is not additive; cannot certify as linear")
-    info = _detect_info_positions(rows)
-    return GeneratorMatrix(field=fld, rows=tuple(map(tuple, rows)),
-                           info_positions=info)
+    return rows
 
 
-def _detect_info_positions(rows):
-    """The first unit column for each row."""
-    n = len(rows)
+def _extract_rows_gf2(fld, encoder, n, N, trials, rng):
+    """`_extract_rows` over GF(2) on packed words: a trial draws two random
+    n-bit words, and the encodings compare as packed codewords."""
+
+    def encode(msg):
+        bits = linalg._bits(_checked(list(encoder(msg)), N))
+        if bits is None:
+            raise ValueError("encoder returned a symbol outside [0, 2)")
+        return bits
+
+    def encode_word(word):
+        return linalg._pack(encode(list(linalg._unpack(word, n))))
+
+    rows = _unit_rows(encode, n)
+    for _ in range(trials):
+        a, b = rng.getrandbits(n), rng.getrandbits(n)
+        if encode_word(a ^ b) != encode_word(a) ^ encode_word(b):
+            raise ValueError("encoder is not additive; cannot certify as linear")
+    return rows
+
+
+def _unit_columns(G, packed):
+    """The first unit column for each row, found on the column masks when
+    ``packed`` (over GF(2)), else on the columns."""
     found = {}
-    for j, col in enumerate(zip(*rows)):
-        nz = [r for r, v in enumerate(col) if v]
-        if len(nz) == 1 and col[nz[0]] == 1 and nz[0] not in found:
-            found[nz[0]] = j
-    if len(found) < n:
-        missing = [i for i in range(n) if i not in found]
+    if packed:
+        for j, m in enumerate(G.masks):
+            if m and not m & (m - 1):
+                found.setdefault(m.bit_length() - 1, j)
+    else:
+        for j, col in enumerate(G.columns):
+            nz = [r for r, v in enumerate(col) if v]
+            if len(nz) == 1 and col[nz[0]] == 1:
+                found.setdefault(nz[0], j)
+    missing = [i for i in range(G.n) if i not in found]
+    if missing:
         raise ValueError(f"encoder is not systematic: no unit column for rows {missing}")
-    return tuple(found[i] for i in range(n))
+    return tuple(found[i] for i in range(G.n))
 
 
 def is_recovering_set(G: GeneratorMatrix, i: int, R):

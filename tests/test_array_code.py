@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pirbatch.array_code import (
     ArrayCodeParams,
@@ -22,6 +24,7 @@ from pirbatch.array_code import (
     recover_bit,
     to_descriptor,
 )
+from pirbatch.codes import ArrayRuntime
 from pirbatch.curves import batch_redundancy_exponent
 from pirbatch.gf import is_prime
 
@@ -65,12 +68,70 @@ def test_encode_examples():
     assert sum(one.parities) == len(params.slopes)  # one flip per slope
 
 
+@st.composite
+def _array_message(draw):
+    """Random params with prime p <= 31, r <= p and any slope set, plus a
+    message for them."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
+    r = draw(st.integers(1, p))
+    slopes = draw(st.sets(st.integers(0, p - 1), max_size=p))
+    params = ArrayCodeParams(rows=r, cols=p, slopes=tuple(sorted(slopes)),
+                             global_parity=draw(st.booleans()))
+    bits = draw(st.lists(st.integers(0, 1), min_size=r * p, max_size=r * p))
+    return params, bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_array_message(), as_rows=st.booleans())
+def test_encode_matches_diagonal_definition(case, as_rows):
+    # the packed-word encoder against one XOR per diagonal() cell list
+    params, bits = case
+    p = params.cols
+    parities = []
+    for s in params.slopes:
+        for t in range(p):
+            acc = 0
+            for i, j in diagonal(s, t, params.rows, p):
+                acc ^= bits[i * p + j]
+            parities.append(acc)
+    gbit = sum(bits) % 2 if params.global_parity else None
+    data = [bits[i * p:(i + 1) * p] for i in range(params.rows)] if as_rows else bits
+    cw = encode_array(params, data)
+    assert cw.data == tuple(bits)
+    assert cw.parities == tuple(parities)
+    assert cw.global_bit == gbit
+    assert cw.codeword() == bits + parities + ([gbit] if params.global_parity else [])
+
+
 def test_encode_validation():
     params = ArrayCodeParams(rows=2, cols=3, slopes=(0, 1))
     with pytest.raises(ValueError):
         encode_array(params, [0] * 5)
     with pytest.raises(ValueError):
         encode_array(params, [2] + [0] * 5)
+    for bad in (-1, 256, 0.5, "1", None):
+        with pytest.raises(ValueError):
+            encode_array(params, [bad] + [0] * 5)
+    with pytest.raises(ValueError):
+        encode_array(params, [[1, 0, 0], [0, 2, 0]])
+
+
+def test_invalid_params_raise_on_every_call():
+    # the checks sit inside the cached function; exceptions are not cached
+    for params in (ArrayCodeParams(rows=2, cols=4, slopes=(0, 1)),
+                   ArrayCodeParams(rows=7, cols=5, slopes=(0, 1))):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disjointness"):
+                pir_sets_for_bit(params, (0, 0))
+        runtime = ArrayRuntime(params)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disjointness"):
+                runtime.recover_info([0] * params.length, 0, 0)
+    params = ArrayCodeParams(rows=3, cols=5, slopes=(0, 1))
+    assert len(pir_sets_for_bit(params, (2, 4))) == 2
+    for cell in ((3, 0), (0, 5), (-1, 0)):
+        with pytest.raises(ValueError, match="outside"):
+            pir_sets_for_bit(params, cell)
 
 
 def test_params_validation():

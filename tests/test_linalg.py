@@ -54,3 +54,18 @@ def test_prime_field_solve_matches_elimination(p, kind, n, k, seed):
         assert len(got) == len(cols)
         rows = [list(r) for r in zip(*cols)]
         assert linalg.matvec(fld, rows, got) == (target if cols else [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), max_size=300))
+def test_pack_and_unpack_are_inverse(bits):
+    word = linalg._pack(bits)
+    assert word == sum(b << i for i, b in enumerate(bits))
+    assert list(linalg._unpack(word, len(bits))) == bits
+    assert linalg._bits(bits) == bytes(bits)
+
+
+def test_bits_refuses_entries_other_than_0_and_1():
+    assert linalg._bits([True, False, 1]) == b"\x01\x00\x01"
+    for bad in (2, -1, 256, 0.0, "1", None):
+        assert linalg._bits([0, bad]) is None

@@ -2,8 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pirbatch.array_code import ArrayCodeParams, encode_array, pir_sets_for_bit
+from pirbatch import verify
+from pirbatch.array_code import (
+    ArrayCodeParams,
+    build_rk_batch,
+    encode_array,
+    five_batch_code,
+    pir_sets_for_bit,
+    to_descriptor,
+)
+from pirbatch.codes import binary_expand, build_runtime
 from pirbatch.gf import CapacityError, Field
 from pirbatch.mpoly import Poly
 from pirbatch.multiplicity import (
@@ -85,6 +96,68 @@ def test_extract_rejects_nonsystematic():
         return [s, s, m[0] ^ m[1]]
     with pytest.raises(ValueError, match="systematic"):
         extract_generator(GF2, enc, 2, 3)
+
+
+@pytest.mark.parametrize("fld,symbol", [(GF2, 2), (GF2, -1), (GF3, 3), (GF3, -1)])
+def test_extract_refuses_symbols_outside_the_field(fld, symbol):
+    # additive over the integers, so only the range check can refuse it
+    def enc(m):
+        return list(m) + [symbol * m[0]]
+    with pytest.raises(ValueError, match="outside"):
+        extract_generator(fld, enc, 2, 3)
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3])
+def test_extract_finds_unit_columns_after_a_parity_column(fld):
+    G = extract_generator(fld, lambda m: [fld.add(m[0], m[1]), m[0], m[1]], 2, 3)
+    assert G.info_positions == (1, 2)
+
+
+def test_extract_refuses_gf2_encoder_off_on_one_pattern():
+    # a parity that is the XOR of its bits except on one message
+    bad = [1, 0, 1, 1]
+
+    def enc(m):
+        m = list(m)
+        return m + [m[0] ^ m[1] ^ m[2] ^ m[3] ^ (m == bad)]
+    for seed in range(5):
+        with pytest.raises(ValueError, match="additive"):
+            extract_generator(GF2, enc, 4, 5, rng=random.Random(seed))
+
+
+def _gf2_codes():
+    yield to_descriptor(ArrayCodeParams(rows=3, cols=5, slopes=(0, 1, 2)))
+    yield to_descriptor(build_rk_batch(2, 2))
+    yield to_descriptor(five_batch_code(7))
+    yield binary_expand({"family": "multiplicity", "m": 2, "d": 2, "s": 2, "q": 8})
+
+
+@pytest.mark.parametrize("desc", list(_gf2_codes()),
+                         ids=["array", "rk-2-2", "five-7", "gf8-bits"])
+def test_gf2_extraction_matches_generic_path(desc):
+    runtime = build_runtime(desc)
+    G = extract_generator(GF2, runtime.encode, runtime.n, runtime.N)
+    rows = verify._extract_rows(GF2, runtime.encode, runtime.n, runtime.N,
+                                50, random.Random(0))
+    assert G.rows == rows
+    generic = GeneratorMatrix(field=GF2, rows=rows, info_positions=())
+    assert G.info_positions == verify._unit_columns(generic, packed=False)
+    assert G.info_positions == tuple(runtime.info_positions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 20), N=st.integers(1, 70),
+       density=st.sampled_from([0.05, 0.5, 0.95]), seed=st.integers(0, 2 ** 32))
+def test_masks_equal_packed_columns(n, N, density, seed):
+    rng = random.Random(seed)
+    rows = [[int(rng.random() < density) for _ in range(N)] for _ in range(n)]
+    rows[rng.randrange(n)] = [0] * N  # an all-zero row
+    zero_col = rng.randrange(N)
+    for row in rows:
+        row[zero_col] = 0  # and an all-zero column
+    G = GeneratorMatrix(field=GF2, rows=tuple(map(tuple, rows)), info_positions=())
+    assert G.masks == tuple(sum(v << r for r, v in enumerate(col))
+                            for col in zip(*rows))
 
 
 def test_is_recovering_set_basics():
