@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .gf import is_prime, smallest_prime_above
-from .linalg import _bits, _pack, _unpack, solve_in_span_gf2
+from .linalg import _pack, _symbols, _unpack, solve_in_span_gf2
 
 
 class BatchPlanningError(RuntimeError):
@@ -108,7 +108,7 @@ def _flatten_data(params, data) -> bytes:
         data = [b for row in data for b in row]
     if len(data) != params.dim:
         raise ValueError(f"expected {params.dim} data bits, got {len(data)}")
-    bits = _bits(data)
+    bits = _symbols(data, 2)
     if bits is None:
         raise ValueError("data bits must be 0 or 1")
     return bits

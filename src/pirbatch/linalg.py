@@ -4,7 +4,7 @@ Matrices are lists of row lists of ints.  Everything here is exact and
 desk-scale; span solving has a numpy path for prime fields and a bitmask
 one, `solve_in_span_gf2`, for callers that keep GF(2) columns packed.
 `_pack` and `_unpack` convert between 0/1 vectors and those bitmasks, and
-`_bits` checks a vector is one.
+`_symbols` checks that a vector's entries lie in [0, q).
 """
 
 from __future__ import annotations
@@ -167,13 +167,14 @@ def _pack(vec):
     return int(b"0" + bytes(vec)[::-1].translate(_DIGIT), 2)
 
 
-def _bits(vec):
-    """vec as bytes of 0 and 1, or None when an entry is not 0 or 1."""
+def _symbols(vec, q):
+    """vec as bytes, or None when an entry is not an int in [0, q);
+    for q <= 256."""
     try:
         raw = bytes(vec)
     except (TypeError, ValueError):  # an entry that is not an int in [0, 256)
         return None
-    return None if raw.translate(None, b"\x00\x01") else raw
+    return None if raw.translate(None, bytes(range(q))) else raw
 
 
 def _unpack(word, width):

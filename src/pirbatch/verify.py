@@ -102,7 +102,11 @@ def _extract_rows(fld, encoder, n, N, trials, rng):
 
     def encode(msg):
         cw = _checked(list(encoder(msg)), N)
-        if cw and not (0 <= min(cw) and max(cw) < q):
+        if q <= 256:  # one pass in C
+            ok = linalg._symbols(cw, q) is not None
+        else:
+            ok = not cw or (0 <= min(cw) and max(cw) < q)
+        if not ok:
             raise ValueError(f"encoder returned a symbol outside [0, {q})")
         return cw
 
@@ -110,10 +114,8 @@ def _extract_rows(fld, encoder, n, N, trials, rng):
     for _ in range(trials):
         a = [rng.randrange(q) for _ in range(n)]
         b = [rng.randrange(q) for _ in range(n)]
-        ab = [fld.add(x, y) for x, y in zip(a, b)]
-        lhs = encode(ab)
-        rhs = [fld.add(x, y) for x, y in zip(encode(a), encode(b))]
-        if lhs != rhs:
+        lhs = encode(list(map(fld.add, a, b)))
+        if lhs != list(map(fld.add, encode(a), encode(b))):
             raise ValueError("encoder is not additive; cannot certify as linear")
     return rows
 
@@ -123,7 +125,7 @@ def _extract_rows_gf2(fld, encoder, n, N, trials, rng):
     n-bit words, and the encodings compare as packed codewords."""
 
     def encode(msg):
-        bits = linalg._bits(_checked(list(encoder(msg)), N))
+        bits = linalg._symbols(_checked(list(encoder(msg)), N), 2)
         if bits is None:
             raise ValueError("encoder returned a symbol outside [0, 2)")
         return bits

@@ -62,10 +62,12 @@ def test_pack_and_unpack_are_inverse(bits):
     word = linalg._pack(bits)
     assert word == sum(b << i for i, b in enumerate(bits))
     assert list(linalg._unpack(word, len(bits))) == bits
-    assert linalg._bits(bits) == bytes(bits)
+    assert linalg._symbols(bits, 2) == bytes(bits)
 
 
-def test_bits_refuses_entries_other_than_0_and_1():
-    assert linalg._bits([True, False, 1]) == b"\x01\x00\x01"
-    for bad in (2, -1, 256, 0.0, "1", None):
-        assert linalg._bits([0, bad]) is None
+def test_symbols_refuses_entries_outside_the_field():
+    assert linalg._symbols([True, False, 1], 2) == b"\x01\x00\x01"
+    assert linalg._symbols([0, 10, 3], 11) == b"\x00\x0a\x03"
+    for q, bad in ((2, 2), (2, -1), (2, 256), (2, 0.0), (2, "1"), (2, None),
+                   (11, 11), (11, -1), (256, 256)):
+        assert linalg._symbols([0, bad], q) is None

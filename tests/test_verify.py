@@ -98,7 +98,8 @@ def test_extract_rejects_nonsystematic():
         extract_generator(GF2, enc, 2, 3)
 
 
-@pytest.mark.parametrize("fld,symbol", [(GF2, 2), (GF2, -1), (GF3, 3), (GF3, -1)])
+@pytest.mark.parametrize("fld,symbol", [(GF2, 2), (GF2, -1), (GF3, 3), (GF3, -1),
+                                        (Field(257), 257), (Field(257), -1)])
 def test_extract_refuses_symbols_outside_the_field(fld, symbol):
     # additive over the integers, so only the range check can refuse it
     def enc(m):
