@@ -232,6 +232,13 @@ def params_for_dimension(n: int, k: int) -> ArrayCodeParams:
     return ArrayCodeParams(rows=r, cols=p, slopes=greedy_slope_set(r, p, k))
 
 
+@lru_cache(maxsize=None)
+def _check_progression_free(params: ArrayCodeParams) -> None:
+    # a ValueError is not cached, so such params raise on every call
+    if params.k >= 3 and has_weighted_ap(params.slopes, params.rows, params.cols):
+        raise ValueError("slope set contains a weighted progression")
+
+
 def plan_array_batch(params: ArrayCodeParams, request) -> list:
     """Disjoint recovering sets for a multiset of cells, one per request.
 
@@ -241,8 +248,7 @@ def plan_array_batch(params: ArrayCodeParams, request) -> list:
     set rules out at most one candidate, so the greedy pass cannot stall;
     a stall is reported as a planning error.
     """
-    if params.k >= 3 and has_weighted_ap(params.slopes, params.rows, params.cols):
-        raise ValueError("slope set contains a weighted progression")
+    _check_progression_free(params)
     request = tuple(sorted(tuple(c) for c in request))
     if len(request) > params.k:
         raise ValueError(f"at most {params.k} requests, got {len(request)}")

@@ -15,7 +15,7 @@ import random
 import sys
 from functools import lru_cache
 
-from . import array_code, curves, multiplicity, verify
+from . import array_code, curves, linalg, multiplicity, verify
 from .codes import binary_expand, build_runtime, replicate
 from .gf import Field
 from .mpoly import DecodeFailure
@@ -108,11 +108,10 @@ def cmd_certify(args) -> int:
         work = list(range(runtime.n))
         seed, sampled = None, False
     else:
-        if not hasattr(runtime, "batch_planner"):
+        if runtime.batch_planner is None:
             raise ValueError(f"{runtime.family} has no batch planner")
         reqs, seed, sampled = verify.enumerate_requests(
-            len(runtime.batch_targets()), k, targets=runtime.batch_targets(),
-            limit=args.limit, seed=args.seed)
+            runtime.batch_targets, k, limit=args.limit, seed=args.seed)
         work = list(reqs)
     chunks = _split(work, max(1, args.jobs))
     results = []
@@ -201,10 +200,14 @@ def cmd_recover(args) -> int:
     with open(args.codeword) as fh:
         payload = json.load(fh)
     codeword = payload["codeword"] if isinstance(payload, dict) else payload
-    if len(codeword) != runtime.N:
-        raise ValueError(f"expected {runtime.N} codeword symbols")
+    q = runtime.field.q
+    if not (isinstance(codeword, list) and len(codeword) == runtime.N
+            and linalg.in_field(codeword, q)):
+        raise ValueError(f"expected a list of {runtime.N} codeword symbols in [0, {q})")
     if not 0 <= args.index < runtime.n:
         raise ValueError(f"index must lie in [0, {runtime.n})")
+    if args.set is not None and not 0 <= args.set < runtime.k:
+        raise ValueError(f"set must lie in [0, {runtime.k})")
     sets = [args.set] if args.set is not None else range(runtime.k)
     values = [runtime.recover_info(codeword, args.index, si) for si in sets]
     agree = len(set(values)) == 1

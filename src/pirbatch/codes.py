@@ -1,7 +1,15 @@
-"""Code descriptors: the JSON objects that name a code family and its
-parameters, the two transforms the paper adds to its constructions
-(binary expansion and replication), and the runtime adapters that give
-every family one surface for encode, recover and certify.
+"""Code descriptors, the JSON objects that name a code family and its
+parameters or one of the two transforms the paper adds to its
+constructions (binary expansion and replication), and `LinearCode`, the
+one form of every code they name for encode, recover and certify.
+
+Each recovering set of an information symbol comes with a `Reader`: the
+positions it reads and a checked linear map over the code's own field,
+whose first row gives the symbol and whose other rows must vanish.
+Multiplicity readers are one component of the compiled interpolation
+operator of their plan's shape, array readers XOR one diagonal, binary
+expansion turns every entry c of a base reader into the GF(2) matrix of
+x -> c*x, and replication shifts a base reader into its replica.
 
 A descriptor arrives from outside the program, so `build_runtime` checks
 each field's type and the code's length before it builds anything whose
@@ -10,9 +18,13 @@ size scales with them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from typing import NamedTuple
 
-from . import array_code, batch_mult, multiplicity, pir
+from . import array_code, batch_mult, gf, multiplicity, pir
 from .gf import CapacityError, Field, check_field_size, np
 
 # Longest codeword, in base-field coordinates, a descriptor may describe.
@@ -29,262 +41,220 @@ _FIELDS = {
 _OPTIONAL = ("modulus", "global_parity")
 
 
-class _Shifted:
-    """A codeword read at every position plus an offset: one replica of a
-    replicated codeword, without copying it."""
+class Reader(NamedTuple):
+    """How one recovering set gives one information symbol: the codeword
+    positions it reads, in the order of the operator's columns, and a
+    `pir.RecoveryOperator` of width 1 over the code's field, or None for
+    the XOR of the positions read."""
 
-    __slots__ = ("codeword", "offset")
-
-    def __init__(self, codeword, offset):
-        self.codeword = codeword
-        self.offset = offset
-
-    def __getitem__(self, j):
-        return self.codeword[j + self.offset]
+    positions: Collection
+    operator: pir.RecoveryOperator | None
 
 
-class _Packed:
-    """A bit-level codeword read as base-field symbols, each from its
-    extension-degree bits, one position at a time."""
+@dataclass(frozen=True, eq=False)
+class LinearCode:
+    """A linear code over ``field``: n information symbols at
+    ``info_positions`` of N coordinates, each recovered through k sets.
 
-    __slots__ = ("codeword", "field")
+    ``encode`` maps n symbols to the N of a codeword; ``reader(i, s)`` is
+    the `Reader` of information symbol i through its set s.  ``details()``
+    gives the profile fields of the family or transform.  The families plan
+    batch requests: ``batch_planner(k)`` maps a multiset of k target ids,
+    out of ``batch_targets``, to disjoint sets; a set recovers every
+    position ``positions_of`` gives for its target, or, when that is
+    None, the message symbol the target id names.
+    """
 
-    def __init__(self, codeword, field):
-        self.codeword = codeword
-        self.field = field
+    family: str
+    field: Field
+    n: int
+    N: int
+    k: int
+    info_positions: tuple
+    encode: Callable
+    reader: Callable
+    details: Callable
+    batch_planner: Callable | None = None
+    batch_targets: int = 0
+    positions_of: Callable | None = None
 
-    def __getitem__(self, j):
-        e = self.field.e
-        return self.field.from_coeffs([self.codeword[j * e + b] for b in range(e)])
-
-
-class _Symbols:
-    """A flat base-field codeword read as one symbol per point: the
-    point-keyed mapping `pir.recover_symbol` gathers from.  ``slots``
-    maps each point to the range of its symbol's flat positions."""
-
-    __slots__ = ("codeword", "slots")
-
-    def __init__(self, codeword, slots):
-        self.codeword = codeword
-        self.slots = slots
-
-    def __getitem__(self, w):
-        cw = self.codeword
-        return [cw[j] for j in self.slots[w]]
-
-
-class MultiplicityRuntime:
-    family = "multiplicity"
-
-    def __init__(self, params):
-        self.params = params
-        self.field = params.field
-        self.view = multiplicity.systematic_view(params)
-        self.n = params.base_dim
-        self.N = params.base_length
-        self.k = params.k_pir
-        self.info_positions = list(self.view.info_positions)
-        self._plans = {}
-        self._slots = multiplicity.symbol_slots(params)
-
-    def encode(self, message):
-        return multiplicity.systematic_encode(self.view, message).base_values()
-
-    def _expand_points(self, points):
-        slots = self._slots
-        return frozenset(j for w in points for j in slots[w])
-
-    def _plans_for(self, i):
-        """(the plans recovering information symbol i, the component of
-        its point's symbol that it is)."""
-        if i not in self._plans:
-            point, component = divmod(self.info_positions[i], self.params.symbol_width)
-            w0 = multiplicity.code_points(self.params)[point]
-            self._plans[i] = pir.pir_recovery_plans(self.params, w0), component
-        return self._plans[i]
-
-    def recovering_sets(self, i):
-        return [self._expand_points(p.coordinates) for p in self._plans_for(i)[0]]
+    def recovering_sets(self, i) -> list:
+        return [frozenset(self.reader(i, s).positions) for s in range(self.k)]
 
     def recover_info(self, codeword, i, set_index):
-        plans, component = self._plans_for(i)
-        return pir.recover_symbol(_Symbols(codeword, self._slots),
-                                  plans[set_index])[component]
+        """Information symbol i from its set ``set_index``; a restriction
+        that fails the reader's checks raises DecodeFailure."""
+        positions, operator = self.reader(i, set_index)
+        if operator is None:  # `array_code.recover_bit`, without the call
+            acc = 0
+            for j in positions:
+                acc ^= codeword[j]
+            return acc
+        return operator.apply([codeword[j] for j in positions])[0]
 
-    # batch targets are symbol positions (points), identified by index
-    def batch_targets(self):
-        return list(range(self.params.num_points))
+    def profile(self) -> dict:
+        return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
+                "redundancy": self.N - self.n,
+                "rate": str(Fraction(self.n, self.N)), **self.details()}
 
-    def positions_of(self, point_index):
-        width = self.params.symbol_width
-        return [point_index * width + c for c in range(width)]
 
-    def batch_planner(self, k):
-        bp = batch_mult.validate_batch_params(self.params, k)
-        points = multiplicity.code_points(self.params)
+def from_multiplicity(params) -> LinearCode:
+    """The systematic multiplicity code: symbol i is read through the
+    plans of its point, each a component of the plan's compiled
+    interpolation operator."""
+    view = multiplicity.systematic_view(params)
+    width = params.symbol_width
+    points = multiplicity.code_points(params)
+    slots = multiplicity.symbol_slots(params)
+    readers = {}  # information symbol -> its readers
+
+    def encode(message):
+        return multiplicity.systematic_encode(view, message).base_values()
+
+    def reader(i, s):
+        got = readers.get(i)
+        if got is None:
+            point, component = divmod(view.info_positions[i], width)
+            got = readers[i] = tuple(
+                Reader(tuple(j for w in plan.points for j in slots[w]),
+                       _component_operator(pir.recovery_operator(plan), component))
+                for plan in pir.pir_recovery_plans(params, points[point]))
+        return got[s]
+
+    def batch_planner(k):
+        bp = batch_mult.validate_batch_params(params, k)
 
         def plan(request):
             batch = batch_mult.plan_batch(bp, [points[t] for t in request])
-            return [self._expand_points(p.coordinates) for p in batch.plans]
+            return [frozenset(j for w in p.coordinates for j in slots[w])
+                    for p in batch.plans]
 
         return plan
 
-    def profile(self):
-        prof = multiplicity.code_profile(self.params)
-        return {
-            "family": self.family, "n": self.n, "N": self.N, "k": self.k,
-            "redundancy": self.N - self.n, "rate": str(prof["rate"]),
-            "symbols": prof["N"], "symbol_width": self.params.symbol_width,
-            "dim_symbols": str(prof["n"]), "alphabet_size": prof["Q"],
-            "distance_bound": str(prof["distance_bound"]),
-        }
+    def details():
+        prof = multiplicity.code_profile(params)
+        return {"symbols": prof["N"], "symbol_width": width,
+                "dim_symbols": str(prof["n"]), "alphabet_size": prof["Q"],
+                "distance_bound": str(prof["distance_bound"])}
+
+    return LinearCode(
+        "multiplicity", params.field, params.base_dim, params.base_length,
+        params.k_pir, view.info_positions, encode, reader, details,
+        batch_planner, params.num_points,
+        lambda t: range(t * width, (t + 1) * width))
 
 
-class ArrayRuntime:
-    family = "array"
+@lru_cache(maxsize=4096)
+def _component_operator(operator, component):
+    """The width-1 operator giving one symbol component: that row of the
+    plan operator's R, and every row of its H."""
+    m = operator.matrix
+    return pir.RecoveryOperator(
+        operator.field, 1, m[[component, *range(operator.width, len(m))]])
 
-    def __init__(self, params):
-        self.params = params
-        self.field = Field(2)
-        self.n = params.dim
-        self.N = params.length
-        self.k = params.k
-        self.info_positions = list(range(self.n))
-        self._sets = {}  # message index -> its recovering sets
 
-    def encode(self, message):
-        return array_code.encode_array(self.params, message).codeword()
+def from_array(params) -> LinearCode:
+    """The systematic array code: bit i is the XOR over each of its
+    diagonal sets, found once per instance."""
+    readers = {}  # message index -> its readers
 
-    def _cell(self, i):
-        return divmod(i, self.params.cols)
+    def encode(message):
+        return array_code.encode_array(params, message).codeword()
 
-    def recovering_sets(self, i):
-        sets = self._sets.get(i)
-        if sets is None:
-            sets = self._sets[i] = tuple(
-                array_code.pir_sets_for_bit(self.params, self._cell(i)))
-        return sets
+    def reader(i, s):
+        got = readers.get(i)
+        if got is None:
+            got = readers[i] = tuple(
+                Reader(rec, None) for rec in
+                array_code.pir_sets_for_bit(params, divmod(i, params.cols)))
+        return got[s]
 
-    def recover_info(self, codeword, i, set_index):
-        return array_code.recover_bit(codeword, self.recovering_sets(i)[set_index])
-
-    def batch_targets(self):
-        return list(range(self.n))
-
-    positions_of = None  # batch targets are message indices
-
-    def batch_planner(self, k):
-        if self.params.global_parity and self.params.slopes == (0, 1, 2, 3, 4):
+    def batch_planner(k):
+        if params.global_parity and params.slopes == (0, 1, 2, 3, 4):
             if k != 5:
                 raise ValueError("the global-parity construction serves k = 5")
             planner = array_code.plan_five_batch
         else:
-            if k > self.k:
-                raise ValueError(f"at most {self.k} parallel requests")
+            if k > params.k:
+                raise ValueError(f"at most {params.k} parallel requests")
             planner = array_code.plan_array_batch
+        return lambda request: planner(
+            params, [divmod(t, params.cols) for t in request])
 
-        def plan(request):
-            return planner(self.params, [self._cell(t) for t in request])
-
-        return plan
-
-    def profile(self):
-        return {
-            "family": self.family, "n": self.n, "N": self.N, "k": self.k,
-            "redundancy": self.params.redundancy, "rate": str(self.params.rate),
-            "rows": self.params.rows, "cols": self.params.cols,
-            "slopes": list(self.params.slopes),
-            "global_parity": self.params.global_parity,
-        }
+    return LinearCode(
+        "array", Field(2), params.dim, params.length, params.k,
+        tuple(range(params.dim)), encode, reader,
+        lambda: {"rows": params.rows, "cols": params.cols,
+                 "slopes": list(params.slopes),
+                 "global_parity": params.global_parity},
+        batch_planner, params.dim)
 
 
-class ExpandedRuntime:
-    """Bit-level view of a characteristic-2 code: every base coordinate
-    becomes extension-degree bits, and recovering sets expand coordinate
-    by coordinate (recovery maps are linear over GF(2))."""
+def expanded_code(base: LinearCode) -> LinearCode:
+    """The bit-level code of a code over GF(2^e): every coordinate becomes
+    its e bits, lowest power first, and every reader the GF(2) form of
+    the base reader (multiplication by a field element is GF(2)-linear)."""
+    fld = base.field
+    if fld.p != 2 or fld.e == 1:
+        raise ValueError("expansion needs a proper extension of GF(2)")
+    e = fld.e
+    n = base.n * e
 
-    family = "binary-expansion"
-
-    def __init__(self, base):
-        if base.field.p != 2 or base.field.e == 1:
-            raise ValueError("expansion needs a proper extension of GF(2)")
-        self.base = base
-        self.bits = base.field.e
-        self.field = Field(2)
-        self.n = base.n * self.bits
-        self.N = _check_length(base.N * self.bits)
-        self.k = base.k
-        self.info_positions = [p * self.bits + b for p in base.info_positions
-                               for b in range(self.bits)]
-
-    def encode(self, message):
+    def encode(message):
         bits = np.asarray(message, dtype=np.int64)
-        if bits.shape != (self.n,) or not np.isin(bits, (0, 1)).all():
-            raise ValueError(f"expected {self.n} message bits")
+        if bits.shape != (n,) or not np.isin(bits, (0, 1)).all():
+            raise ValueError(f"expected {n} message bits")
         # an element's bits are its coefficients, lowest power first
-        place = np.arange(self.bits)
-        base_msg = (bits.reshape(self.base.n, self.bits) << place).sum(axis=1)
-        symbols = np.asarray(self.base.encode(base_msg.tolist()))
+        place = np.arange(e)
+        base_msg = (bits.reshape(base.n, e) << place).sum(axis=1)
+        symbols = np.asarray(base.encode(base_msg.tolist()))
         return (symbols[:, None] >> place & 1).ravel().tolist()
 
-    def _expand(self, coords):
-        return frozenset(j * self.bits + b for j in coords for b in range(self.bits))
+    def reader(i, s):
+        base_i, bit = divmod(i, e)
+        positions, operator = base.reader(base_i, s)
+        return Reader(tuple(j * e + b for j in positions for b in range(e)),
+                      _bit_operator(operator, bit))
 
-    def recovering_sets(self, i):
-        return [self._expand(s) for s in self.base.recovering_sets(i // self.bits)]
-
-    def recover_info(self, codeword, i, set_index):
-        base_i, bit = divmod(i, self.bits)
-        fld = self.base.field
-        symbol = self.base.recover_info(_Packed(codeword, fld), base_i, set_index)
-        return fld.coeffs(symbol)[bit]
-
-    def profile(self):
-        return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
-                "redundancy": self.N - self.n, "bits_per_symbol": self.bits,
-                "rate": str(Fraction(self.n, self.N)),
-                "base": self.base.profile()}
+    return LinearCode(
+        "binary-expansion", Field(2), n, _check_length(base.N * e), base.k,
+        tuple(p * e + b for p in base.info_positions for b in range(e)),
+        encode, reader, lambda: {"bits_per_symbol": e, "base": base.profile()})
 
 
-class ReplicatedRuntime:
-    """One message served through several full codeword replicas; each
-    replica contributes its own batch of disjoint recovering sets."""
+@lru_cache(maxsize=4096)
+def _bit_operator(operator, bit):
+    """A width-1 operator over GF(2^e) as one over GF(2) on the bits of
+    its inputs: entry c becomes the e x e matrix of x -> c*x.  The symbol
+    row keeps output bit ``bit``; every check row keeps all e, so a check
+    fails over GF(2) exactly when it fails over GF(2^e)."""
+    fld = operator.field
+    e = fld.e
+    m = np.asarray(operator.matrix, dtype=np.int64)
+    # c * x^b for every input bit b, then the output bits of each product
+    images = gf.multiply(fld, m[:, :, None], 1 << np.arange(e))
+    bits = images[..., None] >> np.arange(e) & 1   # row, column, in, out
+    rows = bits.transpose(0, 3, 1, 2).reshape(len(m) * e, -1)
+    return pir.RecoveryOperator(Field(2), 1, rows[[bit, *range(e, len(rows))]])
 
-    family = "replication"
 
-    def __init__(self, base, copies):
-        if copies < 1:
-            raise ValueError("copies must be >= 1")
-        self.base = base
-        self.copies = copies
-        self.field = base.field
-        self.n = base.n
-        self.N = _check_length(base.N * copies)
-        self.k = base.k * copies
-        self.info_positions = list(base.info_positions)
+def replicated_code(base: LinearCode, copies: int) -> LinearCode:
+    """One message served through ``copies`` full codeword replicas; set
+    c*k + s of a symbol is the base set s inside replica c."""
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
 
-    def encode(self, message):
-        one = self.base.encode(message)
-        return list(one) * self.copies
+    def reader(i, s):
+        copy, base_s = divmod(s, base.k)
+        positions, operator = base.reader(i, base_s)
+        offset = copy * base.N
+        return Reader(tuple(j + offset for j in positions), operator)
 
-    def recovering_sets(self, i):
-        out = []
-        for c in range(self.copies):
-            off = c * self.base.N
-            out.extend(frozenset(j + off for j in s)
-                       for s in self.base.recovering_sets(i))
-        return out
-
-    def recover_info(self, codeword, i, set_index):
-        c, base_idx = divmod(set_index, self.base.k)
-        return self.base.recover_info(_Shifted(codeword, c * self.base.N), i, base_idx)
-
-    def profile(self):
-        return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
-                "redundancy": self.N - self.n, "copies": self.copies,
-                "rate": str(Fraction(self.n, self.N)),
-                "base": self.base.profile()}
+    return LinearCode(
+        "replication", base.field, base.n, _check_length(base.N * copies),
+        base.k * copies, base.info_positions,
+        lambda message: list(base.encode(message)) * copies, reader,
+        lambda: {"copies": copies, "base": base.profile()})
 
 
 def _check_length(N: int) -> int:
@@ -316,8 +286,8 @@ def _check_fields(descriptor) -> str:
     return family
 
 
-def build_runtime(descriptor: dict):
-    """Instantiate the runtime adapter a descriptor names.
+def build_runtime(descriptor: dict) -> LinearCode:
+    """The code a descriptor names.
 
     A malformed descriptor raises ValueError; one whose field size or
     codeword length exceeds its cap raises CapacityError before the code
@@ -333,15 +303,15 @@ def build_runtime(descriptor: dict):
             raise CapacityError(f"q^s points with s={s} exceed the cap {MAX_LENGTH}")
         params = multiplicity.params_from_descriptor(descriptor)
         _check_length(params.base_length)
-        return MultiplicityRuntime(params)
+        return from_multiplicity(params)
     if family == "array":
         params = array_code.params_from_descriptor(descriptor)
         _check_length(params.length)
-        return ArrayRuntime(params)
+        return from_array(params)
     base = build_runtime(descriptor["base"])
     if family == "binary-expansion":
-        return ExpandedRuntime(base)
-    return ReplicatedRuntime(base, descriptor["copies"])
+        return expanded_code(base)
+    return replicated_code(base, descriptor["copies"])
 
 
 def binary_expand(descriptor: dict) -> dict:

@@ -4,7 +4,7 @@ Matrices are lists of row lists of ints.  Everything here is exact and
 desk-scale; span solving has a numpy path for prime fields and a bitmask
 one, `solve_in_span_gf2`, for callers that keep GF(2) columns packed.
 `_pack` and `_unpack` convert between 0/1 vectors and those bitmasks, and
-`_symbols` checks that a vector's entries lie in [0, q).
+`_symbols` and `in_field` check that a vector's entries lie in [0, q).
 """
 
 from __future__ import annotations
@@ -175,6 +175,14 @@ def _symbols(vec, q):
     except (TypeError, ValueError):  # an entry that is not an int in [0, 256)
         return None
     return None if raw.translate(None, bytes(range(q))) else raw
+
+
+def in_field(vec, q) -> bool:
+    """Whether every entry of vec is an int in [0, q); in one pass in C
+    through `_symbols` when q <= 256."""
+    if q <= 256:
+        return _symbols(vec, q) is not None
+    return all(isinstance(x, int) and 0 <= x < q for x in vec)
 
 
 def _unpack(word, width):

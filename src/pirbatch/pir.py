@@ -117,6 +117,8 @@ class RecoveryOperator:
     and every coefficient that homogeneous grid interpolation requires
     to be zero.
     Entries are stored in the narrowest unsigned type that holds them.
+    The readers of `codes.LinearCode` keep one row of R with all of H,
+    over GF(q) or, for a bit-level code, over GF(2).
     """
 
     __slots__ = ("field", "width", "matrix")

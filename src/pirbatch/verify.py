@@ -102,11 +102,7 @@ def _extract_rows(fld, encoder, n, N, trials, rng):
 
     def encode(msg):
         cw = _checked(list(encoder(msg)), N)
-        if q <= 256:  # one pass in C
-            ok = linalg._symbols(cw, q) is not None
-        else:
-            ok = not cw or (0 <= min(cw) and max(cw) < q)
-        if not ok:
+        if not linalg.in_field(cw, q):
             raise ValueError(f"encoder returned a symbol outside [0, {q})")
         return cw
 

@@ -106,7 +106,7 @@ def test_acceptance_1_multiplicity_pir():
                     G, base_position(params, w0, c), R)
                 assert ok
     # the same sets phrased per information symbol
-    runtime = codes.MultiplicityRuntime(params)
+    runtime = codes.from_multiplicity(params)
     report = certify_pir(G, {i: runtime.recovering_sets(i)
                              for i in range(params.base_dim)}, 3)
     assert report.ok
@@ -176,7 +176,7 @@ def test_acceptance_5_array_pir():
     start = time.time()
     params = ArrayCodeParams(rows=5, cols=5, slopes=(0, 1, 2))
     assert params.redundancy == 15 == 3 * 5  # k * sqrt(n) at n = 25
-    runtime = codes.ArrayRuntime(params)
+    runtime = codes.from_array(params)
     G = extract_generator(runtime.field, runtime.encode, 25, 40)
     report = certify_pir(G, {i: runtime.recovering_sets(i) for i in range(25)}, 3)
     assert report.ok
@@ -193,7 +193,7 @@ def test_acceptance_6_array_batch():
     params = build_rk_batch(3, 2)
     assert (params.cols, params.dim, params.redundancy) == (73, 219, 146)
     assert params.rate == F(3, 5)
-    runtime = codes.ArrayRuntime(params)
+    runtime = codes.from_array(params)
     G = extract_generator(runtime.field, runtime.encode, 219, 365)
     valid_cache = {}
     count = 0
@@ -297,11 +297,11 @@ def test_acceptance_10_oracle_equivalence():
     instances = []
     for rows, cols, slopes in ((2, 3, (0, 1)), (2, 3, (0, 1, 2)), (3, 3, (0, 1))):
         params = ArrayCodeParams(rows=rows, cols=cols, slopes=slopes)
-        rt = codes.ArrayRuntime(params)
+        rt = codes.from_array(params)
         instances.append(("array", rt))
     for m, d, s, q in ((1, 1, 1, 3), (1, 1, 1, 5), (1, 2, 1, 5), (2, 2, 1, 5),
                        (1, 1, 1, 4), (1, 1, 2, 3)):
-        rt = codes.MultiplicityRuntime(mult_params(m, d, s, q))
+        rt = codes.from_multiplicity(mult_params(m, d, s, q))
         instances.append(("multiplicity", rt))
     checked = 0
     for label, rt in instances:

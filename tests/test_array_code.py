@@ -24,7 +24,7 @@ from pirbatch.array_code import (
     recover_bit,
     to_descriptor,
 )
-from pirbatch.codes import ArrayRuntime
+from pirbatch.codes import from_array
 from pirbatch.curves import batch_redundancy_exponent
 from pirbatch.gf import is_prime
 
@@ -116,6 +116,14 @@ def test_encode_validation():
         encode_array(params, [[1, 0, 0], [0, 2, 0]])
 
 
+def test_progression_refusal_raises_on_every_call():
+    # checked once per params inside a cache; exceptions are not cached
+    params = ArrayCodeParams(rows=3, cols=7, slopes=(0, 1, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="weighted progression"):
+            plan_array_batch(params, [(0, 0)])
+
+
 def test_invalid_params_raise_on_every_call():
     # the checks sit inside the cached function; exceptions are not cached
     for params in (ArrayCodeParams(rows=2, cols=4, slopes=(0, 1)),
@@ -123,7 +131,7 @@ def test_invalid_params_raise_on_every_call():
         for _ in range(2):
             with pytest.raises(ValueError, match="disjointness"):
                 pir_sets_for_bit(params, (0, 0))
-        runtime = ArrayRuntime(params)
+        runtime = from_array(params)
         for _ in range(2):
             with pytest.raises(ValueError, match="disjointness"):
                 runtime.recover_info([0] * params.length, 0, 0)

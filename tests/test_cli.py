@@ -171,6 +171,44 @@ def test_recover_detects_corruption(tmp_path, capsys):
                 "--index", "0"]) == 1
 
 
+def test_recover_detects_corruption_in_expanded_replica(tmp_path, capsys):
+    desc = tmp_path / "code.json"
+    run(["build", "multiplicity", "--m", "1", "--d", "1", "--s", "1", "--q", "4",
+         "--expand-binary", "--replicate", "2", "-o", str(desc)])
+    cw = tmp_path / "cw.json"
+    run(["encode", str(desc), "--random", "--seed", "9", "-o", str(cw)])
+    code = codes.build_runtime(json.loads(desc.read_text()))
+    payload = json.loads(cw.read_text())
+    # one bit that set 1 of bit 0 reads, in the second replica
+    payload["codeword"][min(code.recovering_sets(0)[1])] ^= 1
+    cw.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["recover", str(desc), "--codeword", str(cw), "--index", "0"]) == 1
+    assert "decode failure" in capsys.readouterr().err
+
+
+GF4 = {"family": "multiplicity", "m": 1, "d": 1, "s": 1, "q": 4,
+       "modulus": [1, 1, 1]}
+
+
+@pytest.mark.parametrize("desc,payload,extra", [
+    (ARR, [0] * 40, ["--set", "9"]),
+    (ARR, [0] * 40, ["--set", "-1"]),
+    (ARR, [7] * 40, []),
+    (GF4, [9, 0, 0, 0], []),
+    (ARR, {"codeword": ["0"] * 40}, []),
+    (ARR, 5, []),
+], ids=["set-9", "set-minus-1", "binary-holds-7", "gf4-holds-9", "string-symbols",
+        "payload-5"])
+def test_recover_refuses_malformed_input(desc, payload, extra, tmp_path, capsys):
+    code, cw = tmp_path / "code.json", tmp_path / "cw.json"
+    code.write_text(json.dumps(desc))
+    cw.write_text(json.dumps(payload))
+    assert run(["recover", str(code), "--codeword", str(cw), "--index", "0",
+                *extra]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_corrupted_descriptor_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

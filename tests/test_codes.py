@@ -1,0 +1,93 @@
+"""Every `LinearCode` reader against the construction it stands for."""
+
+import random
+
+import pytest
+
+from pirbatch import array_code, codes, multiplicity, pir
+from pirbatch.codes import binary_expand, replicate
+from pirbatch.gf import Field
+from pirbatch.mpoly import DecodeFailure
+
+
+def _mult(m, d, s, q):
+    return multiplicity.to_descriptor(
+        multiplicity.MultCodeParams(field=Field.from_order(q), m=m, d=d, s=s))
+
+
+CASES = {
+    "multiplicity-gf7": _mult(2, 2, 2, 7),
+    "expanded-gf4": binary_expand(_mult(2, 2, 2, 4)),
+    "expanded-replicated-gf8": replicate(binary_expand(_mult(2, 2, 2, 8)), 2),
+    "array": {"family": "array", "r": 5, "p": 5, "S": [0, 1, 2],
+              "global_parity": False},
+    "replicated-five-batch": replicate(
+        array_code.to_descriptor(array_code.five_batch_code(5)), 2),
+}
+
+
+def _oracle(desc, word, i, s):
+    """Symbol i through set s by the construction's definition: the
+    transforms unwound, then interpolation along the plan's lines
+    (`pir.interpolate_symbol`) or the XOR of the diagonal set."""
+    family = desc["family"]
+    if family == "replication":
+        base = codes.build_runtime(desc["base"])
+        copy, base_s = divmod(s, base.k)
+        return _oracle(desc["base"], word[copy * base.N:(copy + 1) * base.N],
+                       i, base_s)
+    if family == "binary-expansion":
+        fld = codes.build_runtime(desc["base"]).field
+        e = fld.e
+        symbols = [fld.from_coeffs(word[j:j + e]) for j in range(0, len(word), e)]
+        base_i, bit = divmod(i, e)
+        return fld.coeffs(_oracle(desc["base"], symbols, base_i, s))[bit]
+    if family == "multiplicity":
+        params = multiplicity.params_from_descriptor(desc)
+        info = multiplicity.systematic_view(params).info_positions
+        point, component = divmod(info[i], params.symbol_width)
+        w0 = multiplicity.code_points(params)[point]
+        plan = pir.pir_recovery_plans(params, w0)[s]
+        cw = multiplicity.MultCodeword.from_base_values(params, word)
+        return pir.interpolate_symbol(cw, plan)[component]
+    params = array_code.params_from_descriptor(desc)
+    sets = array_code.pir_sets_for_bit(params, divmod(i, params.cols))
+    return array_code.recover_bit(word, sets[s])
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except DecodeFailure:
+        return "decode failure"
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_every_reader_matches_its_construction(name):
+    desc = CASES[name]
+    code = codes.build_runtime(desc)
+    rng = random.Random(name)
+    q = code.field.q
+    message = [rng.randrange(q) for _ in range(code.n)]
+    cw = code.encode(message)
+    noise = [rng.randrange(q) for _ in range(code.N)]
+    for i in range(code.n):
+        for s in range(code.k):
+            assert code.recover_info(cw, i, s) == message[i] == _oracle(desc, cw, i, s)
+            # off the code, reader and oracle fail together or agree
+            assert (_outcome(code.recover_info, noise, i, s)
+                    == _outcome(_oracle, desc, noise, i, s))
+
+
+def test_readers_read_their_recovering_sets():
+    code = codes.build_runtime(CASES["expanded-replicated-gf8"])
+    assert code.k == 8 and code.batch_planner is None
+    for i in (0, code.n - 1):
+        sets = code.recovering_sets(i)
+        for s, rec in enumerate(sets):
+            reader = code.reader(i, s)
+            assert frozenset(reader.positions) == rec
+            assert reader.operator.matrix.shape[1] == len(reader.positions)
+        copy = code.N // 2
+        assert all(j < copy for rec in sets[:4] for j in rec)
+        assert all(j >= copy for rec in sets[4:] for j in rec)

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,3 +72,17 @@ def test_symbols_refuses_entries_outside_the_field():
     for q, bad in ((2, 2), (2, -1), (2, 256), (2, 0.0), (2, "1"), (2, None),
                    (11, 11), (11, -1), (256, 256)):
         assert linalg._symbols([0, bad], q) is None
+
+
+@pytest.mark.parametrize("vec,q,ok", [
+    ([0, 3, 1], 4, True),
+    ([0, 4], 4, False),
+    ([0, 65535, 300], 1 << 16, True),
+    ([1 << 16], 1 << 16, False),
+    ([-1], 1 << 16, False),
+    (["1"], 4, False),
+    (["1"], 1 << 16, False),
+    ([0.0], 1 << 16, False),
+])
+def test_in_field(vec, q, ok):
+    assert linalg.in_field(vec, q) is ok
