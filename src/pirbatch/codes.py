@@ -18,11 +18,10 @@ size scales with them.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from . import array_code, batch_mult, gf, multiplicity, pir
 from .gf import CapacityError, Field, check_field_size, np
@@ -41,7 +40,8 @@ _FIELDS = {
 _OPTIONAL = ("modulus", "global_parity")
 
 
-class Reader(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class Reader:
     """How one recovering set gives one information symbol: the codeword
     positions it reads, in the order of the operator's columns, and a
     `pir.RecoveryOperator` of width 1 over the code's field, or None for
@@ -70,7 +70,7 @@ class LinearCode:
     n: int
     N: int
     k: int
-    info_positions: tuple
+    info_positions: Sequence
     encode: Callable
     reader: Callable
     details: Callable
@@ -84,13 +84,16 @@ class LinearCode:
     def recover_info(self, codeword, i, set_index):
         """Information symbol i from its set ``set_index``; a restriction
         that fails the reader's checks raises DecodeFailure."""
-        positions, operator = self.reader(i, set_index)
-        if operator is None:  # `array_code.recover_bit`, without the call
+        reader = self.reader(i, set_index)
+        if reader.operator is None:  # `array_code.recover_bit`, without the call
             acc = 0
-            for j in positions:
+            for j in reader.positions:
                 acc ^= codeword[j]
             return acc
-        return operator.apply([codeword[j] for j in positions])[0]
+        # map, not a comprehension: one would make codeword a cell, and
+        # the XOR loop above slower
+        x = list(map(codeword.__getitem__, reader.positions))
+        return reader.operator.apply(x)[0]
 
     def profile(self) -> dict:
         return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
@@ -155,7 +158,7 @@ def _component_operator(operator, component):
 
 def from_array(params) -> LinearCode:
     """The systematic array code: bit i is the XOR over each of its
-    diagonal sets, found once per instance."""
+    diagonal sets."""
     readers = {}  # message index -> its readers
 
     def encode(message):
@@ -164,9 +167,7 @@ def from_array(params) -> LinearCode:
     def reader(i, s):
         got = readers.get(i)
         if got is None:
-            got = readers[i] = tuple(
-                Reader(rec, None) for rec in
-                array_code.pir_sets_for_bit(params, divmod(i, params.cols)))
+            got = readers[i] = _array_readers(params, divmod(i, params.cols))
         return got[s]
 
     def batch_planner(k):
@@ -183,11 +184,18 @@ def from_array(params) -> LinearCode:
 
     return LinearCode(
         "array", Field(2), params.dim, params.length, params.k,
-        tuple(range(params.dim)), encode, reader,
+        range(params.dim), encode, reader,
         lambda: {"rows": params.rows, "cols": params.cols,
                  "slopes": list(params.slopes),
                  "global_parity": params.global_parity},
         batch_planner, params.dim)
+
+
+@lru_cache(maxsize=None)
+def _array_readers(params, cell) -> tuple:
+    # shared by every instance, as the sets are: a roundtrip builds a new
+    # code and reads every bit through every set
+    return tuple(Reader(rec, None) for rec in array_code.pir_sets_for_bit(params, cell))
 
 
 def expanded_code(base: LinearCode) -> LinearCode:
@@ -212,9 +220,9 @@ def expanded_code(base: LinearCode) -> LinearCode:
 
     def reader(i, s):
         base_i, bit = divmod(i, e)
-        positions, operator = base.reader(base_i, s)
-        return Reader(tuple(j * e + b for j in positions for b in range(e)),
-                      _bit_operator(operator, bit))
+        got = base.reader(base_i, s)
+        return Reader(tuple(j * e + b for j in got.positions for b in range(e)),
+                      _bit_operator(got.operator, bit))
 
     return LinearCode(
         "binary-expansion", Field(2), n, _check_length(base.N * e), base.k,
@@ -246,9 +254,9 @@ def replicated_code(base: LinearCode, copies: int) -> LinearCode:
 
     def reader(i, s):
         copy, base_s = divmod(s, base.k)
-        positions, operator = base.reader(i, base_s)
+        got = base.reader(i, base_s)
         offset = copy * base.N
-        return Reader(tuple(j + offset for j in positions), operator)
+        return Reader(tuple(j + offset for j in got.positions), got.operator)
 
     return LinearCode(
         "replication", base.field, base.n, _check_length(base.N * copies),

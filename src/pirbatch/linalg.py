@@ -171,7 +171,8 @@ def _symbols(vec, q):
     """vec as bytes, or None when an entry is not an int in [0, q);
     for q <= 256."""
     try:
-        raw = bytes(vec)
+        # from a list, bytearray() is about twice as fast as bytes()
+        raw = bytes(bytearray(vec))
     except (TypeError, ValueError):  # an entry that is not an int in [0, 256)
         return None
     return None if raw.translate(None, bytes(range(q))) else raw
