@@ -1,7 +1,7 @@
 """Print the exit code and stdout of a fixed set of pirbatch commands, so
 that two checkouts can be compared byte for byte.
 
-Usage, from the root of each checkout, into an empty scratch directory:
+Usage, from the root of each checkout, into an empty working directory:
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py WORKDIR > snapshot.txt
 
