@@ -6,9 +6,11 @@ Usage, from the root of each checkout, into an empty working directory:
     PYTHONPATH=src python3 scripts/cli_snapshot.py WORKDIR > snapshot.txt
 
 and then ``diff`` the two snapshots.  The codes are the four benchmark
-descriptors, an expanded GF(4) code, a replicated array code and an
+descriptors, an expanded GF(4) code, a replicated array code, an
 expanded, replicated GF(4) code, whose codeword is also read with one
-bit flipped inside a recovering set.  Encoded codewords are printed too.
+bit flipped inside a recovering set, and multiplicity codes over GF(8)
+and GF(9), whose certification solves spans over an extension field.
+Encoded codewords are printed too.
 """
 
 from __future__ import annotations
@@ -33,7 +35,12 @@ CODES = {
                   "--replicate", "2"],
     "gf4-bits-rep": ["multiplicity", "--m", "1", "--d", "1", "--s", "1", "--q", "4",
                      "--expand-binary", "--replicate", "2"],
+    "gf8": ["multiplicity", "--m", "2", "--d", "4", "--s", "2", "--q", "8"],
+    "gf9": ["multiplicity", "--m", "1", "--d", "2", "--s", "2", "--q", "9"],
 }
+
+# codes that also get a batch certify at k = 2, sampled above 100 requests
+BATCH_K2 = ("mult-gf11", "gf8", "gf9")
 
 
 def run(argv):
@@ -61,7 +68,7 @@ def main(workdir):
         run(["roundtrip", desc, "--seed", "1", "--trials", "2"])
         run(["certify", desc, "--mode", "pir"])
         run(["certify", desc, "--mode", "batch", "--limit", "300", "--seed", "4"])
-        if name == "mult-gf11":
+        if name in BATCH_K2:
             run(["certify", desc, "--mode", "batch", "--k", "2", "--limit", "100"])
         if name == "gf4-bits-rep":
             # bit 0 of the symbol at point 1 in the first replica: the sets

@@ -1,14 +1,17 @@
 """Dense linear algebra over a Field: elimination, inversion, span tests.
 
-Matrices are lists of row lists of ints.  Everything here is exact and
-desk-scale; span solving has a numpy path for prime fields and a bitmask
-one, `solve_in_span_gf2`, for callers that keep GF(2) columns packed.
-`_pack` and `_unpack` convert between 0/1 vectors and those bitmasks, and
-`_symbols` and `in_field` check that a vector's entries lie in [0, q).
+Matrices are lists of row lists of ints, or int arrays of elements, and
+everything here is exact.  `rref`, numpy Gauss-Jordan over every field,
+serves span solving, inversion and the systematic view of a multiplicity
+code; `row_echelon_with_combos` and `solve_by_elimination` are its
+pure-Python oracle.  `solve_in_span_gf2` solves on GF(2) bitmasks without
+numpy, converted from 0/1 vectors by `_pack` and `_unpack`; `_symbols`
+and `in_field` check that a vector's entries lie in [0, q).
 """
 
 from __future__ import annotations
 
+from . import gf
 from .gf import np
 
 
@@ -36,24 +39,55 @@ def _dot(field, u, v):
     return acc
 
 
+def rref(field, matrix):
+    """(reduced, pivots): the reduced row echelon form of a matrix of
+    elements, as a new int64 array, and the pivot column of each leading
+    row, by numpy Gauss-Jordan over the field.  Each pivot is the first
+    column with a nonzero below the rows already reduced, so the pivot
+    columns are the first ones independent of those before.
+
+    Prime fields scale and subtract rows by int64 arithmetic mod p,
+    extension fields by `gf.multiply` and `gf.subtract`.  Each pivot costs
+    tens of µs of numpy call overhead."""
+    p, prime = field.p, field.e == 1
+    work = np.array(matrix, dtype=np.int64)
+    if prime:
+        work %= p
+    pivots = []
+    col = 0
+    while len(pivots) < work.shape[0]:  # at full row rank all is reduced
+        r = len(pivots)
+        live = np.flatnonzero(work[r:, col:].any(axis=0))
+        if live.size == 0:
+            break
+        col += int(live[0])
+        lead = r + int(np.flatnonzero(work[r:, col])[0])
+        if lead != r:
+            work[[r, lead]] = work[[lead, r]]
+        scale = field.inv(int(work[r, col]))
+        factors = work[:, col].copy()
+        factors[r] = 0
+        if prime:
+            work[r] = work[r] * scale % p
+            work = (work - factors[:, None] * work[r]) % p
+        else:
+            work[r] = gf.multiply(field, work[r], scale)
+            work = gf.subtract(field, work,
+                               gf.multiply(field, factors[:, None], work[r]))
+        pivots.append(col)
+        col += 1
+    return work, pivots
+
+
 def invert(field, rows):
-    """Inverse of a square matrix; ValueError if singular."""
+    """Inverse of a square matrix: the right half of rref([A | I]).
+    ValueError if singular, which puts a pivot in that half."""
     n = len(rows)
-    work = [list(r) + [1 if i == j else 0 for j in range(n)]
-            for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if work[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv_p = field.inv(work[col][col])
-        work[col] = [field.mul(inv_p, x) for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                f = work[r][col]
-                work[r] = [field.sub(x, field.mul(f, y))
-                           for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    a = np.asarray(rows, dtype=np.int64).reshape(n, n)
+    reduced, pivots = rref(field, np.hstack([a, np.eye(n, dtype=np.int64)]))
+    if any(col >= n for col in pivots):
+        raise ValueError("matrix is singular")
+    return reduced[:, n:].tolist()
 
 
 def row_echelon_with_combos(field, rows):
@@ -91,15 +125,21 @@ def solve_in_span(field, columns, target):
 
     Free coefficients are set to zero, so the answer is deterministic:
     the pivot columns of a matrix do not depend on how it is reduced, so
-    both paths below, and `solve_in_span_gf2` on bitmask columns, return
-    the same coefficients.  Prime fields run on numpy, extension fields
-    on `solve_by_elimination`, the pure-Python oracle.
+    the rref of [columns | target] here, `solve_by_elimination` (the
+    oracle) and `solve_in_span_gf2` on bitmask columns all return the
+    same coefficients.
     """
     if len(columns) == 0:
         return [] if not any(target) else None
-    if field.e == 1:
-        return _solve_mod_p(field.p, columns, target)
-    return solve_by_elimination(field, columns, target)
+    ncols = len(columns)
+    reduced, pivots = rref(field, np.column_stack(
+        [np.asarray(columns, dtype=np.int64).T, np.asarray(target, dtype=np.int64)]))
+    if ncols in pivots:
+        return None  # pivot in the target column: inconsistent
+    coeffs = [0] * ncols
+    for r, col in enumerate(pivots):
+        coeffs[col] = int(reduced[r, ncols])
+    return coeffs
 
 
 def solve_by_elimination(field, columns, target):
@@ -118,40 +158,6 @@ def solve_by_elimination(field, columns, target):
             if row[j] and coeffs[j]:
                 acc = field.sub(acc, field.mul(row[j], coeffs[j]))
         coeffs[pc] = acc
-    return coeffs
-
-
-def _solve_mod_p(p, columns, target):
-    """Gauss-Jordan on [columns | target] mod a prime p.  Each pivot is
-    the first column with a nonzero below the rows already reduced, so
-    the pivot columns are the first ones independent of those before.
-    Each pivot costs tens of µs of numpy call overhead, more than pure
-    elimination only on systems of a few columns."""
-    work = np.column_stack([np.asarray(columns, dtype=np.int64).T,
-                            np.asarray(target, dtype=np.int64)]) % p
-    nrows, ncols = work.shape[0], work.shape[1] - 1
-    pivots = []
-    col = 0
-    while len(pivots) < nrows:  # at full rank every target is reached
-        r = len(pivots)
-        live = np.flatnonzero(work[r:, col:ncols].any(axis=0))
-        if live.size == 0:
-            break
-        col += int(live[0])
-        lead = r + int(np.flatnonzero(work[r:, col])[0])
-        if lead != r:
-            work[[r, lead]] = work[[lead, r]]
-        work[r] = work[r] * pow(int(work[r, col]), p - 2, p) % p
-        factors = work[:, col].copy()
-        factors[r] = 0
-        work = (work - factors[:, None] * work[r]) % p
-        pivots.append(col)
-        col += 1
-    if work[len(pivots):, ncols].any():
-        return None
-    coeffs = [0] * ncols
-    for r, col in enumerate(pivots):
-        coeffs[col] = int(work[r, ncols])
     return coeffs
 
 

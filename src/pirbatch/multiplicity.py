@@ -160,34 +160,24 @@ class SystematicView:
 @lru_cache(maxsize=None)
 def systematic_view(params: MultCodeParams) -> SystematicView:
     """Deterministic systematic view: information positions are the first
-    pivot columns of the generator map in coordinate order."""
+    pivot columns of the generator map in coordinate order.
+
+    One rref of [rows | I] gives all three: its pivots, its left block
+    (the systematic generator) and its right block (the transform, which
+    maps the rows to that generator and so inverts their information
+    columns)."""
     field = params.field
     basis = monomials_up_to_degree(params.s, params.d)
     rows = [encode_poly(params, Poly(field, params.s, {i: 1})).base_values()
             for i in basis]
-    n = len(rows)
-    pivots = []
-    reduced = []  # echelon basis of the column space seen so far
-    for col in range(params.base_length):
-        vec = [row[col] for row in rows]
-        for lead, bvec in reduced:
-            c = vec[lead]
-            if c:
-                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, bvec)]
-        lead = next((r for r in range(n) if vec[r]), None)
-        if lead is not None:
-            inv_l = field.inv(vec[lead])
-            reduced.append((lead, [field.mul(inv_l, x) for x in vec]))
-            pivots.append(col)
-            if len(pivots) == n:
-                break
-    if len(pivots) < n:
+    n, N = len(rows), params.base_length
+    reduced, pivots = linalg.rref(field, np.hstack(
+        [np.asarray(rows, dtype=np.int64), np.eye(n, dtype=np.int64)]))
+    if any(col >= N for col in pivots):
         raise RuntimeError("generator map is rank deficient")
-    sub = [[rows[r][c] for c in pivots] for r in range(n)]
-    transform = linalg.invert(field, sub)
     return SystematicView(params, tuple(pivots),
-                          tuple(tuple(r) for r in transform),
-                          gf.narrow(field, gf.matmul(field, transform, rows).T))
+                          tuple(map(tuple, reduced[:, N:].tolist())),
+                          gf.narrow(field, reduced[:, :N].T))
 
 
 def systematic_encode(view: SystematicView, info) -> MultCodeword:

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from . import linalg
+from . import gf, linalg
 from .gf import CapacityError, np
 
 MIN_DISTANCE_GUARD = 2 * 10 ** 7
@@ -317,47 +317,27 @@ def enumerate_requests(num_targets: int, k: int, targets=None,
 
 
 def min_distance(G: GeneratorMatrix, symbol_size: int = 1) -> int:
-    """Exact minimum nonzero codeword weight by message enumeration.
+    """Exact minimum nonzero codeword weight by message enumeration: the
+    messages, a chunk at a time as base-q digits, times the generator
+    through `gf.matmul`.
 
     Weight counts nonzero blocks of ``symbol_size`` consecutive
     coordinates, so multi-component symbols can be scored as units.
     """
     fld = G.field
-    q, n = fld.q, G.n
+    q, n, N = fld.q, G.n, G.N
     if q ** n > MIN_DISTANCE_GUARD:
         raise CapacityError(f"{q}^{n} messages exceed the enumeration guard")
-    if G.N % symbol_size:
+    if N % symbol_size:
         raise ValueError("symbol_size must divide the code length")
-    if fld.e == 1:
-        return _min_distance_prime(G, symbol_size)
-    columns = G.columns
-    best = None
-    for msg in itertools.product(range(q), repeat=n):
-        if not any(msg):
-            continue
-        cw = linalg.matvec(fld, columns, list(msg))
-        w = sum(1 for b in range(0, G.N, symbol_size)
-                if any(cw[b:b + symbol_size]))
-        if best is None or w < best:
-            best = w
-    return best
-
-
-def _min_distance_prime(G, symbol_size):
-    q, n, N = G.field.q, G.n, G.N
     gen = np.array(G.rows, dtype=np.int64)
     total = q ** n
     radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     best = N + 1
     chunk = 1 << 14
-    for start in range(0, total, chunk):
+    for start in range(1, total, chunk):  # message 0 is the zero message
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        msgs = (idx[:, None] // radix) % q
-        if start == 0:
-            msgs = msgs[1:]  # drop the zero message
-            if msgs.shape[0] == 0:
-                continue
-        cw = (msgs @ gen) % q
+        cw = gf.matmul(fld, (idx[:, None] // radix) % q, gen)
         weights = cw.reshape(cw.shape[0], -1, symbol_size).any(axis=2).sum(axis=1)
         best = min(best, int(weights.min()))
     return best

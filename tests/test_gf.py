@@ -1,5 +1,6 @@
 import pytest
 
+from pirbatch import gf
 from pirbatch.gf import CapacityError, Field, is_prime, smallest_prime_above
 
 PRIME_POWERS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
@@ -153,3 +154,10 @@ def test_coeffs_roundtrip():
         f.coeffs(9)
     with pytest.raises(ValueError):
         f.from_coeffs((3, 0))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 11, 25, 27])
+def test_vectorised_subtract_matches_field_sub(q):
+    f = Field.from_order(q)
+    a, b = (x.ravel() for x in gf.np.meshgrid(range(q), range(q)))
+    assert gf.subtract(f, a, b).tolist() == list(map(f.sub, a.tolist(), b.tolist()))

@@ -7,44 +7,50 @@ from hypothesis import strategies as st
 from pirbatch import linalg
 from pirbatch.gf import Field
 
-# numpy for every prime, and bitmasks too at p = 2; 65521 is the largest
-# prime field a descriptor accepts, where products of two entries need 32 bits
-PRIMES = [2, 3, 5, 7, 11, 65521]
+# rref for every field, and bitmasks too at q = 2: primes, among them
+# 65521, the largest prime field a descriptor accepts, where products of two
+# entries need 32 bits, and extension fields of characteristic 2 and odd p
+ORDERS = [2, 3, 5, 7, 11, 65521, 4, 8, 9, 25, 27]
 KINDS = ["consistent", "inconsistent", "rank-deficient", "empty", "zero-target"]
 
 
-def _system(p, kind, n, k, rng):
+def _combine(fld, cols, coeffs, n):
+    """sum_j coeffs[j] * cols[j] over the field, a vector of length n."""
+    out = [0] * n
+    for c, col in zip(coeffs, cols):
+        out = [fld.add(t, fld.mul(c, x)) for t, x in zip(out, col)]
+    return out
+
+
+def _system(fld, kind, n, k, rng):
     """(columns, target) of one kind; consistent kinds hit the span."""
+    q = fld.q
+
     def entry():
-        return rng.choice([0, rng.randrange(p)])
+        return rng.choice([0, rng.randrange(q)])
 
     cols = [[entry() for _ in range(n)] for _ in range(k)]
     if kind == "empty":
         return [], [entry() for _ in range(n)]
     if kind == "rank-deficient" and cols:
-        scale = rng.randrange(p)
-        cols.insert(rng.randrange(k + 1), [scale * x % p for x in cols[0]])
-        cols.append([(x + y) % p for x, y in zip(cols[0], cols[-1])])
+        cols.insert(rng.randrange(k + 1), _combine(fld, cols[:1], [rng.randrange(q)], n))
+        cols.append(_combine(fld, [cols[0], cols[-1]], [1, 1], n))
     if kind == "zero-target":
         return cols, [0] * n
     if kind == "inconsistent":
-        return cols, [rng.randrange(p) for _ in range(n)]
-    target = [0] * n
-    for col in cols:
-        c = rng.randrange(p)
-        target = [(t + c * x) % p for t, x in zip(target, col)]
-    return cols, target
+        return cols, [rng.randrange(q) for _ in range(n)]
+    return cols, _combine(fld, cols, [rng.randrange(q) for _ in cols], n)
 
 
 @settings(max_examples=300, deadline=None)
-@given(p=st.sampled_from(PRIMES), kind=st.sampled_from(KINDS),
+@given(q=st.sampled_from(ORDERS), kind=st.sampled_from(KINDS),
        n=st.integers(0, 7), k=st.integers(1, 8), seed=st.integers(0, 2 ** 32))
-def test_prime_field_solve_matches_elimination(p, kind, n, k, seed):
-    fld = Field(p)
-    cols, target = _system(p, kind, n, k, random.Random(seed))
+def test_prime_field_solve_matches_elimination(q, kind, n, k, seed):
+    fld = Field.from_order(q)
+    cols, target = _system(fld, kind, n, k, random.Random(seed))
     got = linalg.solve_in_span(fld, cols, target)
     assert got == linalg.solve_by_elimination(fld, cols, target)
-    if p == 2:
+    if q == 2:
         sol = linalg.solve_in_span_gf2(list(map(linalg._pack, cols)), linalg._pack(target))
         assert got == (None if sol is None else [sol >> i & 1 for i in range(len(cols))])
     if kind in ("consistent", "rank-deficient", "zero-target"):
@@ -55,6 +61,31 @@ def test_prime_field_solve_matches_elimination(p, kind, n, k, seed):
         assert len(got) == len(cols)
         rows = [list(r) for r in zip(*cols)]
         assert linalg.matvec(fld, rows, got) == (target if cols else [])
+
+
+@pytest.mark.parametrize("q", [2, 4, 9, 11])
+def test_invert(q):
+    fld, rng = Field.from_order(q), random.Random(q)
+    for n in range(1, 6):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        inverted = 0
+        while inverted < 5:
+            a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+            if len(linalg.row_echelon_with_combos(fld, a)[2]) < n:
+                with pytest.raises(ValueError):
+                    linalg.invert(fld, a)
+                continue
+            inv = linalg.invert(fld, a)
+            assert linalg.matmul(fld, a, inv) == identity
+            assert linalg.matmul(fld, inv, a) == identity
+            inverted += 1
+        # the last row a combination of the first two (of the first at n = 2)
+        if n >= 2:
+            a[-1] = _combine(fld, [a[0], a[1 % (n - 1)]], [rng.randrange(q), 1], n)
+            with pytest.raises(ValueError):
+                linalg.invert(fld, a)
+    with pytest.raises(ValueError):
+        linalg.invert(fld, [[0, 0], [0, 0]])
 
 
 @settings(max_examples=200, deadline=None)
