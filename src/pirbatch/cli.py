@@ -92,7 +92,8 @@ def _certify_chunk(payload):
     G = verify.extract_generator(runtime.field, runtime.encode,
                                  runtime.n, runtime.N)
     if mode == "pir":
-        claims = {i: runtime.recovering_sets(i) for i in chunk}
+        claims = {i: [runtime.reader(i, s) for s in range(runtime.k)]
+                  for i in chunk}
         report = verify.certify_pir(G, claims, k)
     else:
         report = verify.certify_batch(G, runtime.batch_planner(k), k, chunk,

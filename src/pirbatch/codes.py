@@ -9,7 +9,8 @@ whose first row gives the symbol and whose other rows must vanish.
 Multiplicity readers are one component of the compiled interpolation
 operator of their plan's shape, array readers XOR one diagonal, binary
 expansion turns every entry c of a base reader into the GF(2) matrix of
-x -> c*x, and replication shifts a base reader into its replica.
+x -> c*x, and replication shifts a base reader into its replica.  A
+reader's recovery rows are the witness `verify` checks its set against.
 
 A descriptor arrives from outside the program, so `build_runtime` checks
 each field's type and the code's length before it builds anything whose
@@ -50,6 +51,16 @@ class Reader:
     positions: Collection
     operator: pir.RecoveryOperator | None
 
+    @property
+    def witness(self):
+        """The recovery coefficients over ``positions``, one row per value
+        the reader gives: the operator's R rows, or one row of ones for an
+        XOR, as lists of ints.  `verify` checks them against the extracted
+        generator."""
+        if self.operator is None:
+            return [[1] * len(self.positions)]
+        return self.operator.matrix[:self.operator.width].tolist()
+
 
 @dataclass(frozen=True, eq=False)
 class LinearCode:
@@ -60,9 +71,10 @@ class LinearCode:
     the `Reader` of information symbol i through its set s.  ``details()``
     gives the profile fields of the family or transform.  The families plan
     batch requests: ``batch_planner(k)`` maps a multiset of k target ids,
-    out of ``batch_targets``, to disjoint sets; a set recovers every
-    position ``positions_of`` gives for its target, or, when that is
-    None, the message symbol the target id names.
+    out of ``batch_targets``, to disjoint readers; reader row r recovers
+    the r-th position ``positions_of`` gives for its target, or, when
+    that is None, its one row recovers the message symbol the target id
+    names.
     """
 
     family: str
@@ -129,7 +141,8 @@ def from_multiplicity(params) -> LinearCode:
 
         def plan(request):
             batch = batch_mult.plan_batch(bp, [points[t] for t in request])
-            return [frozenset(j for w in p.coordinates for j in slots[w])
+            return [Reader(tuple(j for w in p.points for j in slots[w]),
+                           pir.recovery_operator(p))
                     for p in batch.plans]
 
         return plan
@@ -179,8 +192,9 @@ def from_array(params) -> LinearCode:
             if k > params.k:
                 raise ValueError(f"at most {params.k} parallel requests")
             planner = array_code.plan_array_batch
-        return lambda request: planner(
-            params, [divmod(t, params.cols) for t in request])
+        return lambda request: [
+            _xor_reader(rec)
+            for rec in planner(params, [divmod(t, params.cols) for t in request])]
 
     return LinearCode(
         "array", Field(2), params.dim, params.length, params.k,
@@ -189,6 +203,13 @@ def from_array(params) -> LinearCode:
                  "slopes": list(params.slopes),
                  "global_parity": params.global_parity},
         batch_planner, params.dim)
+
+
+@lru_cache(maxsize=4096)
+def _xor_reader(rec) -> Reader:
+    # a batch certify wraps every planned set; most are the few sets of
+    # each cell, and building a frozen reader costs more than the lookup
+    return Reader(rec, None)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,11 @@ sampled) PIR and batch certification, brute-force minimum distance, and
 black-box generator extraction.  For linear codes, a symbol being a
 function of a coordinate restriction is the same as the matching unit
 vector lying in the restricted column span; the brute-force functional
-oracle below cross-checks that equivalence at tiny sizes.
+oracle below cross-checks that equivalence at tiny sizes.  A claimed set
+may carry a witness, the coefficients its construction recovers with;
+checking them against the extracted generator proves the membership
+without solving, and a witness that fails only sends the set to the
+solve.
 """
 
 from __future__ import annotations
@@ -55,6 +59,13 @@ class GeneratorMatrix:
         N = self.N
         flat = b"".join(map(bytes, self.rows))
         return tuple(linalg._pack(flat[j::N]) for j in range(N))
+
+    @cached_property
+    def matrix(self):
+        """The rows as one read-only array in the narrowest unsigned type,
+        for witness checks over fields other than GF(2); those check on
+        `masks` and never build it."""
+        return gf.narrow(self.field, self.rows)
 
     def column(self, j: int) -> tuple:
         return self.columns[j]
@@ -156,20 +167,73 @@ def _unit_columns(G, packed):
     return tuple(found[i] for i in range(G.n))
 
 
-def is_recovering_set(G: GeneratorMatrix, i: int, R):
+def is_recovering_set(G: GeneratorMatrix, i: int, R, witness=None):
     """Whether message symbol i is a function of the coordinates in R;
     for a linear code that is membership of the unit vector in the
-    restricted column span.  Returns (ok, coefficients or None)."""
+    restricted column span.  Returns (ok, coefficients or None).
+
+    ``witness``, when given, holds one coefficient per position of R in
+    R's order.  If it combines R's columns into the unit vector, that
+    proves the membership; otherwise, or without a witness, the span is
+    solved, so a wrong witness never changes the answer.  A position of
+    R outside [0, N), or i outside [0, n), raises ValueError."""
+    if not 0 <= i < G.n:
+        raise ValueError(f"targets message {i} outside [0, {G.n})")
     if G.field.q == 2:
-        return _solve_recovery(G, 1 << i, R)
-    target = [0] * G.n
-    target[i] = 1
+        target = 1 << i
+    else:
+        target = [0] * G.n
+        target[i] = 1
+    return _recovery(G, target, R, witness)
+
+
+def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
+    """Same test for an arbitrary codeword position j, which must lie in
+    [0, N)."""
+    if not 0 <= j < G.N:
+        raise ValueError(f"targets position {j} outside [0, {G.N})")
+    return _recovery(G, G.masks[j] if G.field.q == 2 else G.column(j), R, witness)
+
+
+def _recovery(G, target, R, witness):
+    """``target`` is a column, over GF(2) its bitmask.  The range check
+    comes first: numpy and Python indexing would wrap a negative
+    position onto another coordinate."""
+    N = G.N
+    if R and not (0 <= min(R) and max(R) < N):
+        bad = next(j for j in R if not 0 <= j < N)
+        raise ValueError(f"reads position {bad} outside [0, {N})")
+    if witness is not None:
+        coeffs = _checked_witness(G, target, R, witness)
+        if coeffs is not None:
+            return True, dict(zip(R, coeffs))
     return _solve_recovery(G, target, R)
 
 
-def is_recovering_position(G: GeneratorMatrix, j: int, R):
-    """Same test for an arbitrary codeword position j."""
-    return _solve_recovery(G, G.masks[j] if G.field.q == 2 else G.column(j), R)
+def _checked_witness(G, target, R, witness):
+    """The witness as a list of field elements when it combines R's
+    columns (of the extracted generator) into ``target``, else None.
+
+    Over GF(2) the combination XORs the column masks whose coefficient
+    is 1; over other fields it is one `gf.matmul` on `G.matrix`.  A
+    witness that is not |R| elements of the field fails."""
+    coeffs = list(witness)
+    if len(coeffs) != len(R):
+        return None
+    fld = G.field
+    if fld.q == 2:
+        masks = G.masks
+        acc = 0
+        for j, c in zip(R, coeffs):
+            if c == 1:
+                acc ^= masks[j]
+            elif c != 0:
+                return None
+        return coeffs if acc == target else None
+    if not linalg.in_field(coeffs, fld.q):
+        return None
+    combined = gf.matmul(fld, G.matrix[:, list(R)], coeffs)
+    return coeffs if np.array_equal(combined, target) else None
 
 
 def _solve_recovery(G, target, R):
@@ -233,6 +297,14 @@ class Report:
             yield ("all", "pass", f"{self.passed} requests")
 
 
+def _claim(R):
+    """(positions, witness rows or None) of a claimed set.  A set of
+    positions carries no witness; a reader (`codes.Reader`) carries its
+    positions and one witness row per value it recovers."""
+    witness = getattr(R, "witness", None)
+    return (R, None) if witness is None else (R.positions, witness)
+
+
 def _sets_disjoint(sets):
     seen = set()
     for s in sets:
@@ -246,17 +318,24 @@ def certify_pir(G: GeneratorMatrix, claims, k: int) -> Report:
     """Check that every target's k claimed sets are valid recovering sets
     and pairwise disjoint.
 
-    ``claims`` maps a message index to its list of coordinate sets.
+    ``claims`` maps a message index to its list of claimed sets: sets of
+    coordinates, or readers whose first witness row is checked before
+    any span is solved.  A position outside [0, N) fails the claim.
     """
     report = Report(kind="pir")
     for target, sets in claims.items():
         problems = []
         if len(sets) != k:
             problems.append(f"expected {k} sets, got {len(sets)}")
-        if not _sets_disjoint(sets):
+        sets = [_claim(R) for R in sets]
+        if not _sets_disjoint(R for R, _ in sets):
             problems.append("sets overlap")
-        for si, R in enumerate(sets):
-            ok, _ = is_recovering_set(G, target, R)
+        for si, (R, witness) in enumerate(sets):
+            try:
+                ok, _ = is_recovering_set(G, target, R, _row(witness, 0))
+            except ValueError as exc:
+                problems.append(f"set {si} {exc}")
+                continue
             if not ok:
                 problems.append(f"set {si} does not recover message {target}")
         report.record(target, "; ".join(problems) or None)
@@ -270,7 +349,10 @@ def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
 
     Requests are multisets of target ids; ``positions_of`` maps a target
     id to the codeword positions its set must recover (default: the id is
-    a message index).
+    a message index).  The planner returns sets of positions or readers;
+    a reader's witness row r is checked for the r-th position of its
+    target before any span is solved.  A position outside [0, N) fails
+    the request.
     """
     report = Report(kind="batch", seed=seed, sampled=sampled)
     for rid, request in enumerate(requests):
@@ -280,24 +362,33 @@ def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
             report.record(rid, f"planner failed on {request}: {exc}")
             continue
         problems = []
+        sets = [_claim(R) for R in sets]
         if len(sets) != len(request):
             problems.append(f"planner returned {len(sets)} sets for {request}")
-        elif not _sets_disjoint(sets):
+        elif not _sets_disjoint(R for R, _ in sets):
             problems.append(f"sets overlap for {request}")
         else:
-            for target, R in zip(sorted(request), sets):
-                if positions_of is None:
-                    ok, _ = is_recovering_set(G, target, R)
-                    if not ok:
-                        problems.append(f"set for {target} in {request} invalid")
-                else:
-                    for pos in positions_of(target):
-                        ok, _ = is_recovering_position(G, pos, R)
+            for target, (R, witness) in zip(sorted(request), sets):
+                try:
+                    if positions_of is None:
+                        ok, _ = is_recovering_set(G, target, R, _row(witness, 0))
+                        if not ok:
+                            problems.append(f"set for {target} in {request} invalid")
+                        continue
+                    for r, pos in enumerate(positions_of(target)):
+                        ok, _ = is_recovering_position(G, pos, R, _row(witness, r))
                         if not ok:
                             problems.append(
                                 f"set for {target} in {request} misses position {pos}")
+                except ValueError as exc:
+                    problems.append(f"set for {target} in {request} {exc}")
         report.record(rid, "; ".join(problems) or None)
     return report
+
+
+def _row(witness, r):
+    """Witness row r, or None when there is none to check."""
+    return None if witness is None or r >= len(witness) else witness[r]
 
 
 def enumerate_requests(num_targets: int, k: int, targets=None,

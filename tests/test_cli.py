@@ -346,3 +346,50 @@ assert "numpy" not in sys.modules, "numpy was loaded"
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+FAST_PATH_CODES = {
+    # build arguments, and the k of a batch certify (None: no planner)
+    "mult-gf11": (["multiplicity", "--m", "2", "--d", "4", "--s", "2", "--q", "11"], 2),
+    "mult-gf8-bits": (["multiplicity", "--m", "2", "--d", "4", "--s", "2", "--q", "8",
+                       "--expand-binary", "--replicate", "2"], None),
+    "mult-gf8": (["multiplicity", "--m", "2", "--d", "4", "--s", "2", "--q", "8"], 2),
+    "array-rk": (["array", "--r", "3", "--k", "3"], 3),
+    "array-five": (["array", "--five-batch", "--p", "5"], 5),
+    "gf9": (["multiplicity", "--m", "1", "--d", "2", "--s", "2", "--q", "9"], 2),
+    "gf4-bits": (["multiplicity", "--m", "2", "--d", "2", "--s", "2", "--q", "4",
+                  "--expand-binary"], None),
+}
+
+
+@pytest.mark.parametrize("name", list(FAST_PATH_CODES))
+def test_certify_checks_witnesses_without_solving(name, tmp_path, capsys, monkeypatch):
+    # the benchmark codes (mult-gf8 is the planner of mult-gf8-bits), a
+    # GF(9) code and an expanded GF(4) code: every set a construction
+    # claims carries a witness that holds, so `verify` solves no span; the
+    # array planners' own GF(2) solves do not go through it
+    from pirbatch import verify
+
+    solves, hits = [], []
+    check = verify._checked_witness
+    monkeypatch.setattr(verify, "_solve_recovery",
+                        lambda *args: solves.append(args) or (False, None))
+    monkeypatch.setattr(verify, "_checked_witness",
+                        lambda *args: hits.append(check(*args)) or hits[-1])
+    build, k = FAST_PATH_CODES[name]
+    desc = str(tmp_path / "code.json")
+    assert run(["build", *build, "-o", desc]) == 0
+    runs = [["--mode", "pir"]]
+    if k is not None:
+        runs.append(["--mode", "batch", "--k", str(k), "--limit", "60"])
+    for args in runs:
+        assert run(["certify", desc, *args]) == 0, args
+    assert not solves and hits and all(h is not None for h in hits)
+    if name == "array-five":
+        # a request the 5-batch matcher serves through the global-parity
+        # fallback, whose support is an XOR found by a GF(2) solve
+        code = codes.build_runtime(json.loads(open(desc).read()))
+        G = verify.extract_generator(code.field, code.encode, code.n, code.N)
+        report = verify.certify_batch(G, code.batch_planner(5), 5, [(0, 0, 0, 1, 1)])
+        assert report.ok and not solves
+    capsys.readouterr()

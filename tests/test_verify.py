@@ -1,11 +1,12 @@
 import itertools
 import random
+import unittest.mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pirbatch import verify
+from pirbatch import pir, verify
 from pirbatch.array_code import (
     ArrayCodeParams,
     build_rk_batch,
@@ -14,7 +15,7 @@ from pirbatch.array_code import (
     pir_sets_for_bit,
     to_descriptor,
 )
-from pirbatch.codes import binary_expand, build_runtime
+from pirbatch.codes import Reader, binary_expand, build_runtime
 from pirbatch.gf import CapacityError, Field
 from pirbatch.mpoly import Poly
 from pirbatch.multiplicity import (
@@ -355,3 +356,128 @@ def test_changing_one_generator_entry_fails_certification(G, claims, k):
             report = certify_pir(bad, claims, k)
             assert f"set {si} does not recover message {i}" in dict(report.failures)[i]
     assert certify_pir(G, claims, k).ok
+
+
+# -- witnesses and the range check --------------------------------------------
+
+@pytest.mark.parametrize("fld", [GF2, GF3])
+def test_positions_outside_the_code_fail_the_claim(fld):
+    # (a, b) -> (a, b, a): read as indices, -1 and -2 wrap onto positions
+    # 2 and 1, which recover a and b, so the claim would pass
+    G = extract_generator(fld, lambda m: [m[0], m[1], m[0]], 2, 3)
+    report = certify_pir(G, {0: [{0}, {-1}], 1: [{1}, {-2}]}, 2)
+    assert report.passed == 0 and dict(report.failures) == {
+        0: "set 1 reads position -1 outside [0, 3)",
+        1: "set 1 reads position -2 outside [0, 3)"}
+    # past the end fails the claim instead of raising IndexError
+    report = certify_pir(G, {0: [{0}, {3}]}, 2)
+    assert dict(report.failures) == {0: "set 1 reads position 3 outside [0, 3)"}
+    # the check sits before the witness path too
+    report = certify_pir(G, {0: [Reader((0,), None), Reader((-1,), None)]}, 2)
+    assert dict(report.failures) == {0: "set 1 reads position -1 outside [0, 3)"}
+    report = certify_pir(G, {-1: [{1}, {2}]}, 2)
+    assert dict(report.failures) == {
+        -1: "set 0 targets message -1 outside [0, 2); "
+            "set 1 targets message -1 outside [0, 2)"}
+    report = certify_batch(G, lambda request: [{-1}], 1, [(0,)])
+    assert report.failures == [(0, "set for 0 in (0,) reads position -1 outside [0, 3)")]
+    report = certify_batch(G, lambda request: [{0}], 1, [(0,)],
+                           positions_of=lambda t: (0, -1))
+    assert report.failures == [
+        (0, "set for 0 in (0,) targets position -1 outside [0, 3)")]
+    for check, target in ((is_recovering_set, 0), (is_recovering_position, 2)):
+        with pytest.raises(ValueError, match="outside"):
+            check(G, target, (-1,), witness=[1])
+        assert check(G, target, (2,), witness=[1])[0]
+
+
+FIELDS = [GF2, Field(5), Field.from_order(8), Field.from_order(9)]
+
+
+def _no_solve(*args):
+    raise AssertionError("a correct witness still led to a span solve")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_witness_never_changes_a_verdict(data):
+    fld = data.draw(st.sampled_from(FIELDS), label="field")
+    q = fld.q
+    n = data.draw(st.integers(1, 3), label="n")
+    N = data.draw(st.integers(n, n + 4), label="N")
+    element = st.integers(0, q - 1)
+    parity = data.draw(st.lists(st.lists(element, min_size=N - n, max_size=N - n),
+                                min_size=n, max_size=n), label="parity")
+    rows = tuple(tuple(int(r == c) for c in range(n)) + tuple(parity[r])
+                 for r in range(n))
+    G = GeneratorMatrix(field=fld, rows=rows, info_positions=tuple(range(n)))
+    R = tuple(data.draw(st.lists(st.integers(0, N - 1), unique=True, max_size=N),
+                        label="R"))
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = data.draw(st.integers(0, N - 1), label="j")
+    junk = st.lists(st.integers(-1, q), min_size=max(0, len(R) - 1),
+                    max_size=len(R) + 1)
+    for check, target, truth in (
+            (is_recovering_set, i, functional_recovery_oracle(G, i, R)),
+            (is_recovering_position, j, None)):
+        plain, coeffs = check(G, target, R)
+        assert truth is None or plain == truth
+        witnesses = [data.draw(junk, label="random witness"),
+                     [data.draw(element) for _ in R]]
+        if plain:
+            correct = [coeffs.get(p, 0) for p in R]
+            with unittest.mock.patch.object(verify, "_solve_recovery", _no_solve):
+                assert check(G, target, R, correct)[0]
+            if R:
+                t = data.draw(st.integers(0, len(R) - 1), label="changed")
+                changed = list(correct)
+                changed[t] = fld.add(changed[t], data.draw(st.integers(1, q - 1)))
+                witnesses.append(changed)
+        for w in witnesses:
+            assert check(G, target, R, w)[0] == plain
+
+
+def test_a_set_that_does_not_recover_stays_refused():
+    f8 = Field.from_order(8)
+    params = MultCodeParams(field=f8, m=1, d=2, s=1)
+    G = extract_generator(f8, mult_encoder(params), 3, 8)
+    # three evaluations of a degree-2 polynomial recover every symbol; two
+    # recover none of the three message symbols
+    R = (3, 5)
+    good = {i: [is_recovering_set(G, i, (3, 5, 6))[1].get(p, 0) for p in (3, 5)]
+            for i in range(3)}
+    for i in range(3):
+        assert not functional_recovery_oracle(G, i, R)
+        for w in ([0, 0], [1, 1], [7, 7], [1, 0], good[i], good[(i + 1) % 3]):
+            assert is_recovering_set(G, i, R, w) == (False, None)
+
+
+@pytest.mark.parametrize("G,claims,k", list(_minimal_claims()),
+                         ids=["gf2-array", "gf5-rs", "gf8-rs"])
+def test_changing_one_generator_entry_fails_certification_with_witnesses(G, claims, k):
+    # `test_changing_one_generator_entry_fails_certification` with every set
+    # claimed through a reader that carries its certified coefficients
+    # (array diagonals as XORs), so certification checks witnesses first
+    fld = G.field
+    certified = {(i, si): is_recovering_set(G, i, R)[1]
+                 for i, sets in claims.items() for si, R in enumerate(sets)}
+
+    def reader(i, si, R):
+        positions = tuple(sorted(R))
+        if fld.q == 2:
+            return Reader(positions, None)
+        row = [certified[i, si][p] for p in positions]
+        return Reader(positions, pir.RecoveryOperator(fld, 1, [row]))
+
+    readers = {i: [reader(i, si, R) for si, R in enumerate(sets)]
+               for i, sets in claims.items()}
+    with unittest.mock.patch.object(verify, "_solve_recovery", _no_solve):
+        assert certify_pir(G, readers, k).ok
+    for (i, si), coeffs in certified.items():
+        j = min(coeffs)
+        rows = [list(r) for r in G.rows]
+        rows[i][j] = fld.sub(rows[i][j], fld.inv(coeffs[j]))
+        bad = GeneratorMatrix(field=fld, rows=tuple(map(tuple, rows)),
+                              info_positions=G.info_positions)
+        report = certify_pir(bad, readers, k)
+        assert f"set {si} does not recover message {i}" in dict(report.failures)[i]
