@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import itemgetter, xor
 
 from .gf import is_prime, smallest_prime_above
-from .linalg import _pack, _symbols, _unpack, solve_in_span_gf2
+from .linalg import _symbols, solve_in_span_gf2
 
 
 class BatchPlanningError(RuntimeError):
@@ -115,28 +116,51 @@ def _flatten_data(params, data) -> bytes:
 
 
 def encode_array(params: ArrayCodeParams, data) -> ArrayCodeword:
-    """XOR one parity per diagonal per slope, slope-major then offset.
-
-    On packed words: row i of the array is a p-bit word, and rotating it
-    right by i*s mod p moves the cell (i, t + i*s mod p) of diagonal t to
-    bit t, so the p parities of slope s are the XOR of the r rotated rows.
-    """
+    """XOR one parity per diagonal per slope, slope-major then offset:
+    `encode_columns` on a batch of one message, whose column words are
+    its bits."""
     bits = _flatten_data(params, data)
-    word = _pack(bits)
-    p = params.cols
-    full = (1 << p) - 1
-    rows = [word >> (i * p) & full for i in range(params.rows)]
-    parities = 0
-    for ell, s in enumerate(params.slopes):
-        acc = 0
-        for i, row in enumerate(rows):
-            a = i * s % p
-            acc ^= (row >> a | row << (p - a)) & full
-        parities |= acc << (ell * p)
-    gbit = word.bit_count() & 1 if params.global_parity else None
+    cw = encode_columns(params, bits)
+    end = params.length - params.global_parity
     return ArrayCodeword(params=params, data=tuple(bits),
-                         parities=tuple(_unpack(parities, params.k * p)),
-                         global_bit=gbit)
+                         parities=tuple(cw[params.dim:end]),
+                         global_bit=cw[-1] if params.global_parity else None)
+
+
+def encode_columns(params: ArrayCodeParams, words) -> list:
+    """The codewords of a batch of messages as column words: ``words[j]``
+    holds data bit j of every message (bit r of message r), and entry j
+    of the result holds coordinate j of every codeword the same way.
+
+    Each parity is the XOR of its diagonal's words, so the cost is one
+    XOR per diagonal cell whatever the number of messages; a single
+    message is a batch whose words are its bits.
+    """
+    if len(words) != params.dim:
+        raise ValueError(f"expected {params.dim} data words, got {len(words)}")
+    out = list(words)
+    for rows in _diagonal_getters(params):
+        acc = rows[0](words)
+        for cells in rows[1:]:
+            acc = map(xor, acc, cells(words))
+        out.extend(acc)
+    if params.global_parity:
+        out.append(reduce(xor, words, 0))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _diagonal_getters(params: ArrayCodeParams) -> tuple:
+    """Per slope s and row i, a getter of the words of the row-i cells of
+    the diagonals of slope s, by offset: cell (i, t + i*s mod p) for t in
+    [p), as a tuple even when p = 1."""
+    p = params.cols
+    if p == 1:
+        return tuple(tuple((lambda words, j=i: (words[j],)) for i in range(params.rows))
+                     for _ in params.slopes)
+    return tuple(tuple(itemgetter(*(i * p + (t + i * s) % p for t in range(p)))
+                       for i in range(params.rows))
+                 for s in params.slopes)
 
 
 def pir_sets_for_bit(params: ArrayCodeParams, cell) -> list:
@@ -284,18 +308,9 @@ def five_batch_code(p: int) -> ArrayCodeParams:
 
 @lru_cache(maxsize=None)
 def _generator_columns(params: ArrayCodeParams) -> tuple:
-    """Column bitmasks of the systematic generator (bit i = message i)."""
-    cols = [1 << i for i in range(params.dim)]
-    p = params.cols
-    for s in params.slopes:
-        for t in range(p):
-            mask = 0
-            for i, j in diagonal(s, t, params.rows, p):
-                mask |= 1 << (i * p + j)
-            cols.append(mask)
-    if params.global_parity:
-        cols.append((1 << params.dim) - 1)
-    return tuple(cols)
+    """Column bitmasks of the systematic generator (bit i = message i):
+    the codeword columns of the unit messages."""
+    return tuple(encode_columns(params, [1 << i for i in range(params.dim)]))
 
 
 def _assignments(request, masks, order, used, picked):

@@ -22,9 +22,9 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from . import array_code, batch_mult, gf, multiplicity, pir
+from . import array_code, batch_mult, gf, linalg, multiplicity, pir
 from .gf import CapacityError, Field, check_field_size, np
 
 # Longest codeword, in base-field coordinates, a descriptor may describe.
@@ -62,12 +62,43 @@ class Reader:
         return self.operator.matrix[:self.operator.width].tolist()
 
 
+@dataclass(frozen=True, slots=True)
+class Encoder:
+    """A code's encoder.  ``batch`` encodes many messages in one call:
+    over GF(2) as column words (entry j of a batch of t messages is one
+    t-bit int whose bit r is message r's symbol j, for the n message
+    symbols and the N codeword coordinates alike), over other fields as
+    a (t, n) int array, one message per row, to a (t, N) one.
+
+    Calling the encoder on one message runs ``batch`` on a batch of one,
+    whose column words over GF(2) are just its symbols, so one encoder
+    serves `encode` and `verify.extract_generator`, which runs ``batch``
+    on its whole block of messages."""
+
+    field: Field
+    n: int
+    batch: Callable
+
+    def __call__(self, message) -> list:
+        message = list(message)
+        q = self.field.q
+        if len(message) == self.n:
+            if q == 2:
+                bits = linalg._symbols(message, 2)
+                if bits is not None:
+                    return self.batch(list(bits))
+            elif linalg.in_field(message, q):
+                return self.batch(np.array([message]))[0].tolist()
+        raise ValueError(f"expected {self.n} message symbols in [0, {q})")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearCode:
     """A linear code over ``field``: n information symbols at
     ``info_positions`` of N coordinates, each recovered through k sets.
 
-    ``encode`` maps n symbols to the N of a codeword; ``reader(i, s)`` is
+    ``encode`` maps n symbols to the N of a codeword, and ``encode.batch``
+    a batch of messages to theirs (see `Encoder`); ``reader(i, s)`` is
     the `Reader` of information symbol i through its set s.  ``details()``
     gives the profile fields of the family or transform.  The families plan
     batch requests: ``batch_planner(k)`` maps a multiset of k target ids,
@@ -83,7 +114,7 @@ class LinearCode:
     N: int
     k: int
     info_positions: Sequence
-    encode: Callable
+    encode: Encoder
     reader: Callable
     details: Callable
     batch_planner: Callable | None = None
@@ -114,27 +145,15 @@ class LinearCode:
 
 
 def from_multiplicity(params) -> LinearCode:
-    """The systematic multiplicity code: symbol i is read through the
-    plans of its point, each a component of the plan's compiled
-    interpolation operator."""
+    """The systematic multiplicity code: a batch of messages encodes in
+    one product with the systematic generator, and symbol i is read
+    through the plans of its point, each a component of the plan's
+    compiled interpolation operator."""
     view = multiplicity.systematic_view(params)
     width = params.symbol_width
     points = multiplicity.code_points(params)
     slots = multiplicity.symbol_slots(params)
-    readers = {}  # information symbol -> its readers
-
-    def encode(message):
-        return multiplicity.systematic_encode(view, message).base_values()
-
-    def reader(i, s):
-        got = readers.get(i)
-        if got is None:
-            point, component = divmod(view.info_positions[i], width)
-            got = readers[i] = tuple(
-                Reader(tuple(j for w in plan.points for j in slots[w]),
-                       _component_operator(pir.recovery_operator(plan), component))
-                for plan in pir.pir_recovery_plans(params, points[point]))
-        return got[s]
+    generator = view.generator.T  # information symbols x coordinates
 
     def batch_planner(k):
         bp = batch_mult.validate_batch_params(params, k)
@@ -155,9 +174,43 @@ def from_multiplicity(params) -> LinearCode:
 
     return LinearCode(
         "multiplicity", params.field, params.base_dim, params.base_length,
-        params.k_pir, view.info_positions, encode, reader, details,
+        params.k_pir, view.info_positions,
+        Encoder(params.field, params.base_dim,
+                lambda messages: gf.matmul(params.field, messages, generator)),
+        _memoised(partial(_mult_readers, params)), details,
         batch_planner, params.num_points,
         lambda t: range(t * width, (t + 1) * width))
+
+
+def _memoised(read):
+    """The ``reader(i, s)`` of a code whose ``read(i)`` gives the readers
+    of symbol i, kept by the instance: a roundtrip asks for every reader,
+    and a dict lookup is cheaper than the shared cache's hashing of the
+    code parameters."""
+    readers = {}  # information symbol -> its readers
+
+    def reader(i, s):
+        got = readers.get(i)
+        if got is None:
+            got = readers[i] = read(i)
+        return got[s]
+
+    return reader
+
+
+@lru_cache(maxsize=4096)
+def _mult_readers(params, i) -> tuple:
+    # shared by every instance, as `_array_readers` are: every command
+    # builds a new code
+    width = params.symbol_width
+    slots = multiplicity.symbol_slots(params)
+    point, component = divmod(multiplicity.systematic_view(params).info_positions[i],
+                              width)
+    return tuple(
+        Reader(tuple(j for w in plan.points for j in slots[w]),
+               _component_operator(pir.recovery_operator(plan), component))
+        for plan in pir.pir_recovery_plans(params,
+                                           multiplicity.code_points(params)[point]))
 
 
 @lru_cache(maxsize=4096)
@@ -170,18 +223,8 @@ def _component_operator(operator, component):
 
 
 def from_array(params) -> LinearCode:
-    """The systematic array code: bit i is the XOR over each of its
-    diagonal sets."""
-    readers = {}  # message index -> its readers
-
-    def encode(message):
-        return array_code.encode_array(params, message).codeword()
-
-    def reader(i, s):
-        got = readers.get(i)
-        if got is None:
-            got = readers[i] = _array_readers(params, divmod(i, params.cols))
-        return got[s]
+    """The systematic array code: a batch of messages encodes on column
+    words, and bit i is the XOR over each of its diagonal sets."""
 
     def batch_planner(k):
         if params.global_parity and params.slopes == (0, 1, 2, 3, 4):
@@ -196,9 +239,11 @@ def from_array(params) -> LinearCode:
             _xor_reader(rec)
             for rec in planner(params, [divmod(t, params.cols) for t in request])]
 
+    gf2 = Field(2)
     return LinearCode(
-        "array", Field(2), params.dim, params.length, params.k,
-        range(params.dim), encode, reader,
+        "array", gf2, params.dim, params.length, params.k, range(params.dim),
+        Encoder(gf2, params.dim, partial(array_code.encode_columns, params)),
+        _memoised(lambda i: _array_readers(params, divmod(i, params.cols))),
         lambda: {"rows": params.rows, "cols": params.cols,
                  "slopes": list(params.slopes),
                  "global_parity": params.global_parity},
@@ -227,28 +272,46 @@ def expanded_code(base: LinearCode) -> LinearCode:
     if fld.p != 2 or fld.e == 1:
         raise ValueError("expansion needs a proper extension of GF(2)")
     e = fld.e
-    n = base.n * e
+    n, N = base.n * e, _check_length(base.N * e)
+    # an element's bits are its coefficients, lowest power first
+    place = np.arange(e, dtype=np.uint8)
 
-    def encode(message):
-        bits = np.asarray(message, dtype=np.int64)
-        if bits.shape != (n,) or not np.isin(bits, (0, 1)).all():
-            raise ValueError(f"expected {n} message bits")
-        # an element's bits are its coefficients, lowest power first
-        place = np.arange(e)
-        base_msg = (bits.reshape(base.n, e) << place).sum(axis=1)
-        symbols = np.asarray(base.encode(base_msg.tolist()))
-        return (symbols[:, None] >> place & 1).ravel().tolist()
+    def batch(words):
+        t = max(map(int.bit_length, words), default=0)
+        if not t:  # no message bit set: the zero codewords
+            return [0] * N
+        width = (t + 7) // 8
+        raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words),
+                            dtype=np.uint8).reshape(n, width)
+        bits = np.unpackbits(raw, axis=1, count=t, bitorder="little")  # (n, t)
+        messages = (bits.T.reshape(t, base.n, e).astype(np.int64) << place).sum(axis=2)
+        symbols = base.encode.batch(messages).T.astype(np.uint16)  # (base.N, t)
+        out = (symbols[:, None, :] >> place[:, None] & 1).astype(np.uint8)
+        raw = np.packbits(out.reshape(N, t), axis=1, bitorder="little").tobytes()
+        if width == 1:  # a word per byte, as for a single message
+            return list(raw)
+        return [int.from_bytes(raw[j:j + width], "little")
+                for j in range(0, N * width, width)]
 
     def reader(i, s):
         base_i, bit = divmod(i, e)
-        got = base.reader(base_i, s)
-        return Reader(tuple(j * e + b for j in got.positions for b in range(e)),
-                      _bit_operator(got.operator, bit))
+        return _expanded_reader(base.reader(base_i, s), bit)
 
+    gf2 = Field(2)
     return LinearCode(
-        "binary-expansion", Field(2), n, _check_length(base.N * e), base.k,
+        "binary-expansion", gf2, n, N, base.k,
         tuple(p * e + b for p in base.info_positions for b in range(e)),
-        encode, reader, lambda: {"bits_per_symbol": e, "base": base.profile()})
+        Encoder(gf2, n, batch), reader,
+        lambda: {"bits_per_symbol": e, "base": base.profile()})
+
+
+@lru_cache(maxsize=4096)
+def _expanded_reader(base_reader, bit) -> Reader:
+    # shared by every instance whose base shares its readers, as the
+    # multiplicity readers are: every command builds a new code
+    e = base_reader.operator.field.e
+    return Reader(tuple(j * e + b for j in base_reader.positions for b in range(e)),
+                  _bit_operator(base_reader.operator, bit))
 
 
 @lru_cache(maxsize=4096)
@@ -273,16 +336,21 @@ def replicated_code(base: LinearCode, copies: int) -> LinearCode:
     if copies < 1:
         raise ValueError("copies must be >= 1")
 
+    N = _check_length(base.N * copies)
+
+    def batch(messages):
+        out = base.encode.batch(messages)
+        return out * copies if base.field.q == 2 else np.tile(out, copies)
+
     def reader(i, s):
         copy, base_s = divmod(s, base.k)
         got = base.reader(i, base_s)
         offset = copy * base.N
-        return Reader(tuple(j + offset for j in got.positions), got.operator)
+        return Reader(tuple(map(offset.__add__, got.positions)), got.operator)
 
     return LinearCode(
-        "replication", base.field, base.n, _check_length(base.N * copies),
-        base.k * copies, base.info_positions,
-        lambda message: list(base.encode(message)) * copies, reader,
+        "replication", base.field, base.n, N, base.k * copies, base.info_positions,
+        Encoder(base.field, base.n, batch), reader,
         lambda: {"copies": copies, "base": base.profile()})
 
 

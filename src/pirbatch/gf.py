@@ -336,15 +336,51 @@ def _log_tables(field: Field):
     return log, antilog
 
 
+@lru_cache(maxsize=None)
+def _product_table(field: Field):
+    """The multiplication table of an extension field small enough for
+    an eager one (`Field` builds it up to 64 elements) as an array, else
+    None."""
+    return None if field._mul_table is None else np.array(field._mul_table,
+                                                          dtype=np.int64)
+
+
 def multiply(field: Field, a, b) -> np.ndarray:
     """Entry-by-entry product of int arrays of elements, broadcasting as
-    numpy does; extension fields go through log and antilog tables."""
+    numpy does; extension fields look the products up in the
+    multiplication table when there is one, else go through log and
+    antilog tables."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
         return a * b % field.p
+    table = _product_table(field)
+    if table is not None:
+        return table[a, b]
     log, antilog = _log_tables(field)
     return np.where((a == 0) | (b == 0), 0, antilog[log[a] + log[b]])
+
+
+def add(field: Field, a, b) -> np.ndarray:
+    """Entry-by-entry sum of int arrays of elements, broadcasting as numpy
+    does: an XOR for p = 2, otherwise digit by digit mod p (a prime
+    field's elements have one digit)."""
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    p = field.p
+    if p == 2:
+        return a ^ b
+    if field.e == 1:
+        out = a + b
+        out %= p
+        return out
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    place = 1
+    for _ in range(field.e):
+        # a // place is digit i of a plus a multiple of p
+        out += (a // place + b // place) % p * place
+        place *= p
+    return out
 
 
 def subtract(field: Field, a, b) -> np.ndarray:
@@ -363,7 +399,7 @@ def subtract(field: Field, a, b) -> np.ndarray:
 
 # entries of the largest product block that `matmul` forms at once over an
 # extension field
-_BLOCK = 1 << 20
+_BLOCK = 1 << 16
 
 
 def matmul(field: Field, a, b) -> np.ndarray:
@@ -372,25 +408,32 @@ def matmul(field: Field, a, b) -> np.ndarray:
     `linalg.matvec` and `linalg.matmul`.
 
     Prime fields take an int64 product mod p.  Extension fields form the
-    entry products through `multiply`, a block of rows of a at a time,
-    and add them digit by digit mod p, which for p = 2 is an XOR.
+    entry products through `multiply` and add them up: all at once when
+    the products number at most `_BLOCK`, else one inner index at a time
+    into the output, so no temporary outgrows the output.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
-        return (a @ b) % field.p
-    aa = a if a.ndim == 2 else a[None, :]
+        out = a @ b
+        out %= field.p
+        return out
     bb = b if b.ndim == 2 else b[:, None]
-    p, place = field.p, field.p ** np.arange(field.e, dtype=np.int64)
-    step = max(1, _BLOCK // max(1, bb.size))
-    blocks = []
-    for lo in range(0, max(1, aa.shape[0]), step):
-        prod = multiply(field, aa[lo:lo + step, :, None], bb[None, :, :])
-        if p == 2:
-            blocks.append(np.bitwise_xor.reduce(prod, axis=1))
+    if a.size * bb.shape[1] <= _BLOCK:
+        prod = multiply(field, a[..., None], bb)  # (..., inner, columns)
+        if field.p == 2:
+            out = np.bitwise_xor.reduce(prod, axis=-2)
         else:
-            blocks.append((prod[..., None] // place % p).sum(axis=1) % p @ place)
-    out = np.concatenate(blocks)
-    if b.ndim == 1:
-        out = out[:, 0]
-    return out if a.ndim == 2 else out[0]
+            p, out, place = field.p, 0, 1
+            for _ in range(field.e):
+                out = out + (prod // place % p).sum(axis=-2) % p * place
+                place *= p
+    else:
+        out = np.zeros(a.shape[:-1] + bb.shape[1:], dtype=np.int64)
+        for k in range(len(bb)):
+            prod = multiply(field, a[..., k, None], bb[k])
+            if field.p == 2:
+                out ^= prod
+            else:
+                out = add(field, out, prod)
+    return out if b.ndim == 2 else out[..., 0]

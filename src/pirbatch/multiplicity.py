@@ -221,9 +221,19 @@ def _component_rows(params: MultCodeParams, v: tuple) -> tuple:
 def line_points(params: MultCodeParams, w0, v, drops=frozenset()) -> list:
     """(lambda, w0 + lambda*v) for every nonzero lambda not in ``drops``,
     in increasing lambda."""
-    field = params.field
-    return [(lam, tuple(field.add(a, field.mul(lam, b)) for a, b in zip(w0, v)))
-            for lam in range(1, params.q) if lam not in drops]
+    return [(lam, w) for lam, w in enumerate(_line(params, tuple(w0), tuple(v)), 1)
+            if lam not in drops]
+
+
+@lru_cache(maxsize=4096)
+def _line(params: MultCodeParams, w0: tuple, v: tuple) -> tuple:
+    """w0 + lambda*v for lambda = 1, ..., q - 1, each point the tuple that
+    `code_points` holds, so that a cached line keeps only references.
+    Batch planning walks every line of a plan once per request."""
+    field, points = params.field, code_points(params)
+    return tuple(points[point_index(params, [field.add(a, field.mul(lam, b))
+                                             for a, b in zip(w0, v)])]
+                 for lam in range(1, params.q))
 
 
 def line_samples(codeword, w0, v, drops=frozenset(), params=None):

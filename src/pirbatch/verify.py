@@ -28,23 +28,44 @@ FUNCTIONAL_ORACLE_GUARD = 10 ** 4
 DEFAULT_REQUEST_LIMIT = 10 ** 6
 
 
-@dataclass(frozen=True)
 class GeneratorMatrix:
     """Systematic n x N generator: rows encode the unit messages and the
-    columns at info_positions form an identity.  The columns, and over
-    GF(2) their bitmasks, are derived from the rows once, on first use."""
+    columns at info_positions form an identity.
 
-    field: object
-    rows: tuple
-    info_positions: tuple
+    It is built from its rows, from its column bitmasks over GF(2)
+    (`from_masks`) or from a rows array (`from_matrix`); the rows, the
+    columns, the masks and the array are each derived from what it was
+    built with on first use, and kept."""
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    def __init__(self, field, rows, info_positions):
+        self.field = field
+        self.rows = tuple(rows)
+        self.info_positions = tuple(info_positions)
+        self.n, self.N = len(self.rows), len(self.rows[0])
 
-    @property
-    def N(self) -> int:
-        return len(self.rows[0])
+    @classmethod
+    def from_masks(cls, field, n, masks, info_positions):
+        G = cls.__new__(cls)
+        G.field, G.masks, G.info_positions = field, tuple(masks), tuple(info_positions)
+        G.n, G.N = n, len(G.masks)
+        return G
+
+    @classmethod
+    def from_matrix(cls, field, matrix, info_positions):
+        G = cls.__new__(cls)
+        G.field, G.matrix, G.info_positions = field, gf.narrow(field, matrix), tuple(info_positions)
+        G.n, G.N = G.matrix.shape
+        return G
+
+    @cached_property
+    def rows(self) -> tuple:
+        if "matrix" in vars(self):  # built from the array
+            return tuple(map(tuple, self.matrix.tolist()))
+        # each mask unpacked to its n bits is a column, so the bytes are
+        # column-major and row r is every n-th byte from r
+        n = self.n
+        flat = b"".join(linalg._unpack(m, n) for m in self.masks)
+        return tuple(tuple(flat[r::n]) for r in range(n))
 
     @cached_property
     def columns(self) -> tuple:
@@ -52,13 +73,8 @@ class GeneratorMatrix:
 
     @cached_property
     def masks(self) -> tuple:
-        """Column j over GF(2) as an int whose bit r is its entry in row r.
-
-        Each row is packed to bytes once; column j is then every N-th byte
-        from j, which `linalg._pack` turns into its mask."""
-        N = self.N
-        flat = b"".join(map(bytes, self.rows))
-        return tuple(linalg._pack(flat[j::N]) for j in range(N))
+        """Column j over GF(2) as an int whose bit r is its entry in row r."""
+        return _column_words(map(bytes, self.rows), self.N)
 
     @cached_property
     def matrix(self):
@@ -71,100 +87,154 @@ class GeneratorMatrix:
         return self.columns[j]
 
 
+def _column_words(rows, N) -> tuple:
+    """The column words of rows of N bits, each given as bytes of 0 and 1:
+    the rows are joined once, and column j is then every N-th byte from
+    j, which `linalg._pack` turns into its word."""
+    flat = b"".join(rows)
+    return tuple(linalg._pack(flat[j::N]) for j in range(N))
+
+
 def extract_generator(fld, encoder, n, N, trials=50, rng=None) -> GeneratorMatrix:
-    """Rows are the encodings of the unit messages; additivity is
-    certified on random message pairs before the matrix is trusted.
+    """The generator of a linear encoder, from one block of messages: the
+    n unit messages, whose encodings are the rows, then ``trials``
+    random message pairs A and B, then the sums A + B.
 
-    Every encoding must have length N and symbols in [0, q).  Over GF(2)
-    the trial messages are random words, sums are XORs of packed
-    codewords, and the unit columns are found on the column masks; over
-    other fields on the columns.  Either way the generator keeps what it
-    derived for later checks."""
+    The block is checked as a whole: every encoding has length N and
+    symbols in [0, q), the trial encodings are additive, and every row
+    has a unit column (the first, found on the column masks over GF(2),
+    else on the rows array).  Over GF(2) the block is given as column
+    words, otherwise as a (messages, n) array (see `codes.Encoder`).  An
+    encoder with a ``batch`` attribute, as a `codes.Encoder` has,
+    encodes the block in one call; any other is called once per message
+    on it.  The generator keeps what it was built with for later checks.
+    """
     rng = rng or random.Random(0)
-    packed = fld.q == 2
-    rows = (_extract_rows_gf2 if packed else _extract_rows)(fld, encoder, n, N,
-                                                             trials, rng)
-    G = GeneratorMatrix(field=fld, rows=rows, info_positions=())
-    # set after the fact, so that the unit columns are found on the masks
-    # or columns this generator caches
-    object.__setattr__(G, "info_positions", _unit_columns(G, packed))
-    return G
+    batch = getattr(encoder, "batch", None)
+    if fld.q == 2:
+        if batch is None:
+            batch = _mapped_words(encoder, n, N, n + 3 * trials)
+        return _extract_words(fld, batch, n, N, trials, rng)
+    return _extract_array(fld, batch or _mapped_rows(encoder, N), n, N, trials, rng)
 
 
-def _unit_rows(encode, n):
-    """The encodings of the n unit messages, as tuples."""
-    rows = []
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        rows.append(tuple(encode(unit)))
-    return tuple(rows)
+def _length(got, N):
+    if got != N:
+        raise ValueError(f"encoder returned length {got}, expected {N}")
 
 
-def _checked(cw, N):
-    if len(cw) != N:
-        raise ValueError(f"encoder returned length {len(cw)}, expected {N}")
-    return cw
+def _outside(q):
+    return ValueError(f"encoder returned a symbol outside [0, {q})")
 
 
-def _extract_rows(fld, encoder, n, N, trials, rng):
-    """Unit encodings and additivity trials by field arithmetic."""
-    q = fld.q
-
-    def encode(msg):
-        cw = _checked(list(encoder(msg)), N)
-        if not linalg.in_field(cw, q):
-            raise ValueError(f"encoder returned a symbol outside [0, {q})")
-        return cw
-
-    rows = _unit_rows(encode, n)
-    for _ in range(trials):
-        a = [rng.randrange(q) for _ in range(n)]
-        b = [rng.randrange(q) for _ in range(n)]
-        lhs = encode(list(map(fld.add, a, b)))
-        if lhs != list(map(fld.add, encode(a), encode(b))):
-            raise ValueError("encoder is not additive; cannot certify as linear")
-    return rows
+_NOT_ADDITIVE = "encoder is not additive; cannot certify as linear"
 
 
-def _extract_rows_gf2(fld, encoder, n, N, trials, rng):
-    """`_extract_rows` over GF(2) on packed words: a trial draws two random
-    n-bit words, and the encodings compare as packed codewords."""
+def _extract_words(fld, batch, n, N, trials, rng):
+    """`extract_generator` on column words: a word packs message r's bit
+    at bit r, the units at bits [0, n), then A, B and A + B, ``trials``
+    bits each.  An encoded word outside [0, 2^(n + 3 trials)) is a
+    symbol outside [0, 2); additivity is one shift-and-XOR per word, and
+    the unit rows are the low n bits of the words, the masks."""
+    t = trials
+    a, b = _random_words(rng, n, t), _random_words(rng, n, t)
+    out = batch([1 << j | x << n | y << n + t | (x ^ y) << n + 2 * t
+                 for j, x, y in zip(range(n), a, b)])
+    _length(len(out), N)
+    if out and (min(out) < 0 or max(out) >> n + 3 * t):
+        raise _outside(2)
+    low = (1 << t) - 1
+    if any((w >> n ^ w >> n + t ^ w >> n + 2 * t) & low for w in out):
+        raise ValueError(_NOT_ADDITIVE)
+    masks = [w & (1 << n) - 1 for w in out]
+    return GeneratorMatrix.from_masks(fld, n, masks, _unit_columns(
+        n, ((m.bit_length() - 1, j) for j, m in enumerate(masks)
+            if m and not m & (m - 1))))
 
-    def encode(msg):
-        bits = linalg._symbols(_checked(list(encoder(msg)), N), 2)
-        if bits is None:
-            raise ValueError("encoder returned a symbol outside [0, 2)")
-        return bits
 
-    def encode_word(word):
-        return linalg._pack(encode(list(linalg._unpack(word, n))))
+def _extract_array(fld, batch, n, N, trials, rng):
+    """`extract_generator` on a (n + 3 trials, n) array of messages: the
+    identity, A, B and A + B."""
+    q, t = fld.q, trials
+    a, b = _random_array(rng, q, t, n), _random_array(rng, q, t, n)
+    out = np.asarray(batch(np.vstack([np.eye(n, dtype=np.int64), a, b,
+                                      gf.add(fld, a, b)])))
+    if out.ndim != 2 or len(out) != n + 3 * t:
+        raise ValueError(f"encoder returned a batch of shape {out.shape}, "
+                         f"expected ({n + 3 * t}, {N})")
+    _length(out.shape[1], N)
+    if out.dtype.kind not in "iu" or out.size and (out.min() < 0 or out.max() >= q):
+        raise _outside(q)
+    out = gf.narrow(fld, out)  # frees the wide array before the checks below
+    if not np.array_equal(gf.add(fld, out[n:n + t], out[n + t:n + 2 * t]),
+                          out[n + 2 * t:]):
+        raise ValueError(_NOT_ADDITIVE)
+    units = out[:n]
+    nonzero = units != 0
+    unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (units.max(axis=0, initial=0) == 1))
+    return GeneratorMatrix.from_matrix(fld, units, _unit_columns(
+        n, zip(nonzero[:, unit].argmax(axis=0).tolist(), unit.tolist())))
 
-    rows = _unit_rows(encode, n)
-    for _ in range(trials):
-        a, b = rng.getrandbits(n), rng.getrandbits(n)
-        if encode_word(a ^ b) != encode_word(a) ^ encode_word(b):
-            raise ValueError("encoder is not additive; cannot certify as linear")
-    return rows
+
+def _random_words(rng, n, t) -> list:
+    """The column words of t random messages of n bits: one `getrandbits`
+    call per word, which is cheaper than cutting one long draw."""
+    return [rng.getrandbits(t) for _ in range(n)]
 
 
-def _unit_columns(G, packed):
-    """The first unit column for each row, found on the column masks when
-    ``packed`` (over GF(2)), else on the columns."""
+def _random_array(rng, q, t, n):
+    """A (t, n) array of random elements of GF(q) from one `getrandbits`
+    call: 32 random bits per element, reduced mod q."""
+    raw = rng.getrandbits(32 * t * n).to_bytes(4 * t * n, "little")
+    return np.frombuffer(raw, dtype="<u4").reshape(t, n).astype(np.int64) % q
+
+
+def _mapped_words(encoder, n, N, count):
+    """A batch encoder over column words that calls ``encoder`` once per
+    message of a batch of ``count``: message r is bit r of every word, and
+    every codeword must be N symbols in [0, 2) to pack into words."""
+
+    def batch(words):
+        # each word unpacked to its count bits is a column of the batch,
+        # so the bytes are column-major and message r is every count-th byte
+        flat = b"".join(linalg._unpack(w, count) for w in words)
+        rows = []
+        for r in range(count):
+            cw = list(encoder(list(flat[r::count])))
+            _length(len(cw), N)
+            bits = linalg._symbols(cw, 2)
+            if bits is None:
+                raise _outside(2)
+            rows.append(bits)
+        return _column_words(rows, N)
+
+    return batch
+
+
+def _mapped_rows(encoder, N):
+    """A batch encoder over arrays that calls ``encoder`` once per row."""
+
+    def batch(messages):
+        rows = []
+        for m in messages.tolist():
+            cw = list(encoder(m))
+            _length(len(cw), N)
+            rows.append(cw)
+        return np.array(rows)
+
+    return batch
+
+
+def _unit_columns(n, candidates) -> tuple:
+    """The first unit column of each of the n rows, from the (row, column)
+    pairs of the unit columns, in column order."""
     found = {}
-    if packed:
-        for j, m in enumerate(G.masks):
-            if m and not m & (m - 1):
-                found.setdefault(m.bit_length() - 1, j)
-    else:
-        for j, col in enumerate(G.columns):
-            nz = [r for r, v in enumerate(col) if v]
-            if len(nz) == 1 and col[nz[0]] == 1:
-                found.setdefault(nz[0], j)
-    missing = [i for i in range(G.n) if i not in found]
+    for r, j in candidates:
+        found.setdefault(r, j)
+    missing = [i for i in range(n) if i not in found]
     if missing:
         raise ValueError(f"encoder is not systematic: no unit column for rows {missing}")
-    return tuple(found[i] for i in range(G.n))
+    return tuple(found[i] for i in range(n))
 
 
 def is_recovering_set(G: GeneratorMatrix, i: int, R, witness=None):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pirbatch import batch_mult
+from pirbatch import batch_mult, multiplicity
 from pirbatch.array_code import BatchPlanningError
 from pirbatch.batch_mult import BatchPlan, plan_batch, recover_batch, validate_batch_params
 from pirbatch.curves import batch_delta_binary, batch_delta_qary
@@ -138,3 +138,18 @@ def test_curve_formulas():
     assert batch_delta_binary(0) == Fraction(5, 6)
     with pytest.raises(ValueError):
         batch_delta_qary(-1)
+
+
+@pytest.mark.parametrize("ps,k", [(P2411, 2), (params(2, 4, 2, 8), 2),
+                                  (params(1, 3, 2, 9), 3)])
+def test_cached_line_points_give_the_uncached_plans(ps, k, monkeypatch):
+    """Plans through the line cache equal plans whose every line is walked
+    afresh, over a few hundred seeded requests."""
+    bp = validate_batch_params(ps, k)
+    points = code_points(ps)
+    rng = random.Random(11)
+    requests = [[rng.choice(points) for _ in range(k)] for _ in range(300)]
+    cached = [plan_batch(bp, r) for r in requests]
+    multiplicity._line.cache_clear()
+    monkeypatch.setattr(multiplicity, "_line", multiplicity._line.__wrapped__)
+    assert [plan_batch(bp, r) for r in requests] == cached

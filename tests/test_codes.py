@@ -6,7 +6,7 @@ import pytest
 
 from pirbatch import array_code, codes, multiplicity, pir
 from pirbatch.codes import binary_expand, replicate
-from pirbatch.gf import Field
+from pirbatch.gf import Field, np
 from pirbatch.mpoly import DecodeFailure
 
 
@@ -91,3 +91,39 @@ def test_readers_read_their_recovering_sets():
         copy = code.N // 2
         assert all(j < copy for rec in sets[:4] for j in rec)
         assert all(j >= copy for rec in sets[4:] for j in rec)
+
+
+ENCODERS = {
+    "array": array_code.to_descriptor(array_code.build_rk_batch(2, 2)),
+    "five-batch": array_code.to_descriptor(array_code.five_batch_code(5)),
+    "gf11": _mult(2, 4, 2, 11),
+    "expanded-gf8": binary_expand(_mult(2, 2, 2, 8)),
+    "replicated-array": replicate(CASES["array"], 2),
+    "replicated-gf11": replicate(_mult(1, 2, 1, 11), 3),
+    "replicated-expanded-gf8": CASES["expanded-replicated-gf8"],
+}
+
+
+@pytest.mark.parametrize("name", list(ENCODERS))
+def test_encode_is_the_batch_encoder_on_a_batch_of_one(name):
+    code = codes.build_runtime(ENCODERS[name])
+    rng = random.Random(name)
+    q = code.field.q
+    # the last message is zero, so no word of the batch has its top bit set
+    messages = [[rng.randrange(q) for _ in range(code.n)] for _ in range(9)]
+    messages.append([0] * code.n)
+    if q == 2:
+        words = [sum(m[j] << r for r, m in enumerate(messages)) for j in range(code.n)]
+        out = code.encode.batch(words)
+        batch = [[w >> r & 1 for w in out] for r in range(len(messages))]
+    else:
+        batch = code.encode.batch(np.array(messages)).tolist()
+    assert batch == [code.encode(m) for m in messages]
+    if name == "gf11":  # the oracle: the systematic encoder, one product per message
+        view = multiplicity.systematic_view(multiplicity.params_from_descriptor(
+            ENCODERS[name]))
+        assert batch == [multiplicity.systematic_encode(view, m).base_values()
+                         for m in messages]
+    for bad in ([0] * (code.n - 1), [q] + [0] * (code.n - 1), [-1] + [0] * (code.n - 1)):
+        with pytest.raises(ValueError, match="message symbols"):
+            code.encode(bad)

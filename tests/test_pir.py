@@ -1,5 +1,6 @@
 import itertools
 import random
+import unittest.mock
 from fractions import Fraction
 
 import numpy as np
@@ -272,19 +273,23 @@ def test_recover_symbol_does_not_interpolate(monkeypatch):
 
 @settings(max_examples=60, deadline=None)
 @given(q=st.sampled_from([2, 3, 5, 4, 8, 9, 27, 256]), rows=st.integers(1, 5),
-       cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32))
-def test_gf_matmul_matches_linalg(q, rows, cols, seed):
+       cols=st.integers(1, 6), seed=st.integers(0, 2 ** 32),
+       block=st.sampled_from([gf._BLOCK, 0]))
+def test_gf_matmul_matches_linalg(q, rows, cols, seed, block):
+    # block 0 sends every product through the accumulation one inner index
+    # at a time that large products take
     fld, rng = Field.from_order(q), random.Random(seed)
     matrix = [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
     vec = [rng.choice([0, rng.randrange(q)]) for _ in range(cols)]
-    assert gf.matmul(fld, np.array(matrix), vec).tolist() == \
-        linalg.matvec(fld, matrix, vec)
     other = [[rng.randrange(q) for _ in range(3)] for _ in range(cols)]
-    assert gf.matmul(fld, matrix, other).tolist() == \
-        linalg.matmul(fld, matrix, other)
     row = [rng.randrange(q) for _ in range(rows)]
-    assert gf.matmul(fld, row, np.array(matrix)).tolist() == \
-        linalg.matmul(fld, [row], matrix)[0]
+    with unittest.mock.patch.object(gf, "_BLOCK", block):
+        assert gf.matmul(fld, np.array(matrix), vec).tolist() == \
+            linalg.matvec(fld, matrix, vec)
+        assert gf.matmul(fld, matrix, other).tolist() == \
+            linalg.matmul(fld, matrix, other)
+        assert gf.matmul(fld, row, np.array(matrix)).tolist() == \
+            linalg.matmul(fld, [row], matrix)[0]
 
 
 def test_grid_uniqueness_exhaustive():

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pirbatch import pir, verify
+from pirbatch import gf, pir, verify
 from pirbatch.array_code import (
     ArrayCodeParams,
+    _generator_columns,
     build_rk_batch,
     encode_array,
     five_batch_code,
     pir_sets_for_bit,
     to_descriptor,
 )
-from pirbatch.codes import Reader, binary_expand, build_runtime
-from pirbatch.gf import CapacityError, Field
+from pirbatch.codes import Encoder, Reader, binary_expand, build_runtime
+from pirbatch.gf import CapacityError, Field, np
 from pirbatch.mpoly import Poly
 from pirbatch.multiplicity import (
     MultCodeParams,
@@ -137,13 +138,16 @@ def _gf2_codes():
 @pytest.mark.parametrize("desc", list(_gf2_codes()),
                          ids=["array", "rk-2-2", "five-7", "gf8-bits"])
 def test_gf2_extraction_matches_generic_path(desc):
+    # the column-word path, on the code's batch encoder, against the array
+    # path that every other field takes, on the encoder called per message
     runtime = build_runtime(desc)
     G = extract_generator(GF2, runtime.encode, runtime.n, runtime.N)
-    rows = verify._extract_rows(GF2, runtime.encode, runtime.n, runtime.N,
-                                50, random.Random(0))
-    assert G.rows == rows
-    generic = GeneratorMatrix(field=GF2, rows=rows, info_positions=())
-    assert G.info_positions == verify._unit_columns(generic, packed=False)
+    generic = verify._extract_array(
+        GF2, verify._mapped_rows(runtime.encode, runtime.N), runtime.n, runtime.N,
+        50, random.Random(0))
+    assert G.rows == generic.rows
+    assert G.masks == generic.masks
+    assert G.info_positions == generic.info_positions
     assert G.info_positions == tuple(runtime.info_positions)
 
 
@@ -481,3 +485,137 @@ def test_changing_one_generator_entry_fails_certification_with_witnesses(G, clai
                               info_positions=G.info_positions)
         report = certify_pir(bad, readers, k)
         assert f"set {si} does not recover message {i}" in dict(report.failures)[i]
+
+
+# -- batched extraction --------------------------------------------------------
+
+def _word_encoder(rows):
+    """The batch encoder of a GF(2) generator on column words: coordinate
+    j is the XOR of the message words whose row has a 1 there."""
+    def batch(words):
+        out = []
+        for col in zip(*rows):
+            acc = 0
+            for w, c in zip(words, col):
+                if c:
+                    acc ^= w
+            out.append(acc)
+        return out
+    return batch
+
+
+def _batch_encoder(fld, rows):
+    if fld.q == 2:
+        return _word_encoder(rows)
+    return lambda block: gf.matmul(fld, block, rows)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_batched_extraction_matches_the_per_message_adapter(data):
+    fld = data.draw(st.sampled_from(FIELDS), label="field")
+    n = data.draw(st.integers(1, 4), label="n")
+    N = data.draw(st.integers(n, n + 4), label="N")
+    element = st.integers(0, fld.q - 1)
+    parity = [[data.draw(element) for _ in range(N - n)] for _ in range(n)]
+    order = data.draw(st.permutations(range(N)), label="column order")
+    systematic = [[int(r == c) for c in range(n)] + parity[r] for r in range(n)]
+    rows = tuple(tuple(row[c] for c in order) for row in systematic)
+
+    def per_message(m):
+        return gf.matmul(fld, m, rows).tolist()
+
+    batched = extract_generator(fld, Encoder(fld, n, _batch_encoder(fld, rows)), n, N)
+    adapted = extract_generator(fld, per_message, n, N)
+    assert batched.rows == adapted.rows == rows
+    assert batched.masks == adapted.masks
+    assert batched.info_positions == adapted.info_positions
+    assert all(rows[i][j] == 1 for i, j in enumerate(batched.info_positions))
+
+
+GF5 = Field(5)
+T = 2 + 3 * 50  # messages in the block of a two-symbol code
+
+
+def _off_on_one_pattern_words(words):
+    # `test_extract_refuses_gf2_encoder_off_on_one_pattern` on column words:
+    # bit r of ``match`` is set when message r is [1, 0, 1, 1]
+    full = (1 << 4 + 3 * 50) - 1
+    match = full
+    for w, bit in zip(words, (1, 0, 1, 1)):
+        match &= w if bit else ~w & full
+    return list(words) + [words[0] ^ words[1] ^ words[2] ^ words[3] ^ match]
+
+
+# (field, n, N, per-message encoder, batch encoder, refusal)
+REFUSALS = {
+    "gf2-symbol-minus-1": (GF2, 2, 3, lambda m: list(m) + [-m[0]],
+                           lambda w: w + [-w[0]], "outside"),
+    "gf2-symbol-2": (GF2, 2, 3, lambda m: list(m) + [2 * m[0]],
+                     lambda w: w + [w[0] << T], "outside"),
+    "gf5-symbol-minus-1": (GF5, 2, 3, lambda m: list(m) + [-m[0]],
+                           lambda b: np.hstack([b, -b[:, :1]]), "outside"),
+    "gf5-symbol-5": (GF5, 2, 3, lambda m: list(m) + [5 * m[0]],
+                     lambda b: np.hstack([b, 5 * b[:, :1]]), "outside"),
+    "gf2-not-additive": (GF2, 2, 3, lambda m: list(m) + [m[0] & m[1]],
+                         lambda w: w + [w[0] & w[1]], "additive"),
+    "gf5-not-additive": (GF5, 2, 3, lambda m: list(m) + [m[0] * m[0] % 5],
+                         lambda b: np.hstack([b, b[:, :1] ** 2 % 5]), "additive"),
+    "gf2-off-on-one-pattern": (
+        GF2, 4, 5, lambda m: list(m) + [m[0] ^ m[1] ^ m[2] ^ m[3] ^ (m == [1, 0, 1, 1])],
+        _off_on_one_pattern_words, "additive"),
+    "gf2-not-systematic": (GF2, 2, 3, lambda m: [m[0] ^ m[1]] * 3,
+                           lambda w: [w[0] ^ w[1]] * 3, "systematic"),
+    "gf5-not-systematic": (GF5, 2, 3, lambda m: [(m[0] + m[1]) % 5] * 3,
+                           lambda b: np.repeat(b.sum(axis=1, keepdims=True) % 5, 3, 1),
+                           "systematic"),
+    "gf2-short": (GF2, 2, 3, lambda m: list(m), lambda w: w, "length 2, expected 3"),
+    "gf5-short": (GF5, 2, 3, lambda m: list(m), lambda b: b, "length 2, expected 3"),
+    "gf5-missing-message": (GF5, 2, 2, None, lambda b: b[:-1], "shape"),
+    "gf5-one-message": (GF5, 2, 2, None, lambda b: b[0], "shape"),
+}
+
+
+@pytest.mark.parametrize("name,path", [
+    (name, path) for name, case in REFUSALS.items()
+    # a per-message encoder cannot return a batch of the wrong shape
+    for path in (["batched", "per message"] if case[3] else ["batched"])])
+def test_every_refusal_holds_on_both_paths(name, path):
+    fld, n, N, per_message, batch, match = REFUSALS[name]
+    encoder = per_message if path == "per message" else Encoder(fld, n, batch)
+    for seed in range(5):
+        with pytest.raises(ValueError, match=match):
+            extract_generator(fld, encoder, n, N, rng=random.Random(seed))
+
+
+def test_extraction_still_certifies_the_frobenius_encoder():
+    # Additive but not GF(8)-linear: (a, b) -> (a, b, (a + b)^2).  The trial
+    # equation is additivity, so both paths certify it; closing this gap
+    # is ROADMAP open item 1, together with the benchmark's control.
+    f8 = Field.from_order(8)
+
+    def frobenius(m):
+        s = f8.add(m[0], m[1])
+        return [m[0], m[1], f8.mul(s, s)]
+
+    def batch(block):
+        s = gf.add(f8, block[:, 0], block[:, 1])
+        return np.column_stack([block, gf.multiply(f8, s, s)])
+
+    for encoder in (frobenius, Encoder(f8, 2, batch)):
+        G = extract_generator(f8, encoder, 2, 3)
+        assert G.rows == ((1, 0, 1), (0, 1, 1)) and G.info_positions == (0, 1)
+
+
+def test_a_gf2_generator_from_masks_derives_its_rows():
+    params = build_rk_batch(2, 2)
+    code = build_runtime(to_descriptor(params))
+    G = extract_generator(GF2, code.encode, code.n, code.N)
+    assert "rows" not in vars(G)  # certification reads only the masks
+    assert certify_pir(G, {i: [code.reader(i, s) for s in range(code.k)]
+                           for i in range(code.n)}, code.k).ok
+    assert "rows" not in vars(G)
+    assert G.masks == _generator_columns(params)
+    for i in range(code.n):
+        unit = [int(r == i) for r in range(code.n)]
+        assert list(G.rows[i]) == encode_array(params, unit).codeword()
