@@ -336,27 +336,13 @@ def _log_tables(field: Field):
     return log, antilog
 
 
-@lru_cache(maxsize=None)
-def _product_table(field: Field):
-    """The multiplication table of an extension field small enough for
-    an eager one (`Field` builds it up to 64 elements) as an array, else
-    None."""
-    return None if field._mul_table is None else np.array(field._mul_table,
-                                                          dtype=np.int64)
-
-
 def multiply(field: Field, a, b) -> np.ndarray:
     """Entry-by-entry product of int arrays of elements, broadcasting as
-    numpy does; extension fields look the products up in the
-    multiplication table when there is one, else go through log and
-    antilog tables."""
+    numpy does; extension fields go through log and antilog tables."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
         return a * b % field.p
-    table = _product_table(field)
-    if table is not None:
-        return table[a, b]
     log, antilog = _log_tables(field)
     return np.where((a == 0) | (b == 0), 0, antilog[log[a] + log[b]])
 
@@ -409,8 +395,9 @@ def matmul(field: Field, a, b) -> np.ndarray:
 
     Prime fields take an int64 product mod p.  Extension fields form the
     entry products through `multiply` and add them up: all at once when
-    the products number at most `_BLOCK`, else one inner index at a time
-    into the output, so no temporary outgrows the output.
+    the products number at most `_BLOCK`, which keeps small products such
+    as witness checks to a few numpy calls, else one inner index at a
+    time into the output, so no temporary outgrows the output.
     """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)

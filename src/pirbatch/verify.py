@@ -32,10 +32,9 @@ class GeneratorMatrix:
     """Systematic n x N generator: rows encode the unit messages and the
     columns at info_positions form an identity.
 
-    It is built from its rows, from its column bitmasks over GF(2)
-    (`from_masks`) or from a rows array (`from_matrix`); the rows, the
-    columns, the masks and the array are each derived from what it was
-    built with on first use, and kept."""
+    It is built from its rows, or over GF(2) from its column bitmasks
+    (`from_masks`); the rows, the columns, the masks and the array are
+    each derived from what it was built with on first use, and kept."""
 
     def __init__(self, field, rows, info_positions):
         self.field = field
@@ -50,17 +49,8 @@ class GeneratorMatrix:
         G.n, G.N = n, len(G.masks)
         return G
 
-    @classmethod
-    def from_matrix(cls, field, matrix, info_positions):
-        G = cls.__new__(cls)
-        G.field, G.matrix, G.info_positions = field, gf.narrow(field, matrix), tuple(info_positions)
-        G.n, G.N = G.matrix.shape
-        return G
-
     @cached_property
     def rows(self) -> tuple:
-        if "matrix" in vars(self):  # built from the array
-            return tuple(map(tuple, self.matrix.tolist()))
         # each mask unpacked to its n bits is a column, so the bytes are
         # column-major and row r is every n-th byte from r
         n = self.n
@@ -172,7 +162,7 @@ def _extract_array(fld, batch, n, N, trials, rng):
     units = out[:n]
     nonzero = units != 0
     unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (units.max(axis=0, initial=0) == 1))
-    return GeneratorMatrix.from_matrix(fld, units, _unit_columns(
+    return GeneratorMatrix(fld, map(tuple, units.tolist()), _unit_columns(
         n, zip(nonzero[:, unit].argmax(axis=0).tolist(), unit.tolist())))
 
 

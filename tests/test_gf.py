@@ -165,8 +165,6 @@ def test_vectorised_subtract_matches_field_sub(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 11, 25, 27, 64, 81])
 def test_vectorised_add_and_multiply_match_the_field(q):
-    # up to 64 elements an extension field multiplies through its table,
-    # above through log tables
     f = Field.from_order(q)
     a, b = (x.ravel() for x in gf.np.meshgrid(range(q), range(q)))
     assert gf.add(f, a, b).tolist() == list(map(f.add, a.tolist(), b.tolist()))
