@@ -11,6 +11,8 @@ operator of their plan's shape, array readers XOR one diagonal, binary
 expansion turns every entry c of a base reader into the GF(2) matrix of
 x -> c*x, and replication shifts a base reader into its replica.  A
 reader's recovery rows are the witness `verify` checks its set against.
+The k readers of a symbol form its `Recovery`, which reads all k sets
+of an operator code in one gather and one stacked product.
 
 A descriptor arrives from outside the program, so `build_runtime` checks
 each field's type and the code's length before it builds anything whose
@@ -22,10 +24,11 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from . import array_code, batch_mult, gf, linalg, multiplicity, pir
 from .gf import CapacityError, Field, check_field_size, np
+from .mpoly import DecodeFailure
 
 # Longest codeword, in base-field coordinates, a descriptor may describe.
 MAX_LENGTH = 10 ** 6
@@ -60,6 +63,49 @@ class Reader:
         if self.operator is None:
             return [[1] * len(self.positions)]
         return self.operator.matrix[:self.operator.width].tolist()
+
+
+@dataclass(frozen=True, eq=False)
+class Recovery:
+    """The k readers of one information symbol.  Operator readers are also
+    read all at once: ``index`` is the (k, width) array of the positions
+    they read and ``stack`` the (k, rows, width) array of their operator
+    matrices, zero-padded where readers differ in shape (a zero column
+    adds nothing, a zero row always vanishes).  Both are built on first
+    use and kept, for every code of the same parameters shares its
+    symbols' recoveries; the stack is also shared by every symbol whose
+    readers have the same operators."""
+
+    readers: tuple
+
+    @property
+    def xor(self) -> bool:
+        return self.readers[0].operator is None
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        out = np.zeros((len(self.readers), max(len(r.positions) for r in self.readers)),
+                       dtype=np.intp)
+        for s, r in enumerate(self.readers):
+            out[s, :len(r.positions)] = r.positions
+        return out
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return _stack(tuple(r.operator for r in self.readers))
+
+
+@lru_cache(maxsize=4096)
+def _stack(operators) -> np.ndarray:
+    # keyed by the operators' identities: each operator is built once per
+    # shape and kept by its own cache
+    rows, width = (max(dim) for dim in zip(*(op.matrix.shape for op in operators)))
+    out = np.zeros((len(operators), rows, width), dtype=operators[0].matrix.dtype)
+    for s, op in enumerate(operators):
+        r, c = op.matrix.shape
+        out[s, :r, :c] = op.matrix
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,14 +144,14 @@ class LinearCode:
     ``info_positions`` of N coordinates, each recovered through k sets.
 
     ``encode`` maps n symbols to the N of a codeword, and ``encode.batch``
-    a batch of messages to theirs (see `Encoder`); ``reader(i, s)`` is
-    the `Reader` of information symbol i through its set s.  ``details()``
-    gives the profile fields of the family or transform.  The families plan
-    batch requests: ``batch_planner(k)`` maps a multiset of k target ids,
-    out of ``batch_targets``, to disjoint readers; reader row r recovers
-    the r-th position ``positions_of`` gives for its target, or, when
-    that is None, its one row recovers the message symbol the target id
-    names.
+    a batch of messages to theirs (see `Encoder`); ``recovery(i)`` is the
+    `Recovery` of information symbol i, and ``reader(i, s)`` its reader
+    through set s.  ``details()`` gives the profile fields of the family
+    or transform.  The families plan batch requests: ``batch_planner(k)``
+    maps a multiset of k target ids, out of ``batch_targets``, to
+    disjoint readers; reader row r recovers the r-th position
+    ``positions_of`` gives for its target, or, when that is None, its one
+    row recovers the message symbol the target id names.
     """
 
     family: str
@@ -115,28 +161,54 @@ class LinearCode:
     k: int
     info_positions: Sequence
     encode: Encoder
-    reader: Callable
+    recovery: Callable
     details: Callable
     batch_planner: Callable | None = None
     batch_targets: int = 0
     positions_of: Callable | None = None
 
+    def reader(self, i, s) -> Reader:
+        return self.recovery(i).readers[s]
+
     def recovering_sets(self, i) -> list:
-        return [frozenset(self.reader(i, s).positions) for s in range(self.k)]
+        return [frozenset(r.positions) for r in self.recovery(i).readers]
+
+    def word(self, codeword):
+        """``codeword`` as the readers read it fastest: an int array for
+        operator readers, unchanged for XOR readers, so that array codes
+        never load numpy."""
+        return codeword if self.recovery(0).xor else np.asarray(codeword)
 
     def recover_info(self, codeword, i, set_index):
         """Information symbol i from its set ``set_index``; a restriction
         that fails the reader's checks raises DecodeFailure."""
-        reader = self.reader(i, set_index)
-        if reader.operator is None:  # `array_code.recover_bit`, without the call
-            acc = 0
-            for j in reader.positions:
-                acc ^= codeword[j]
-            return acc
-        # map, not a comprehension: one would make codeword a cell, and
-        # the XOR loop above slower
-        x = list(map(codeword.__getitem__, reader.positions))
-        return reader.operator.apply(x)[0]
+        rec = self.recovery(i)
+        if rec.xor:
+            return array_code.recover_bit(codeword, rec.readers[set_index].positions)
+        return self._read(rec, codeword, slice(set_index, set_index + 1))[0]
+
+    def recover_all(self, codeword, i) -> list:
+        """Information symbol i from each of its k sets, in set order; if
+        any set's restriction fails its reader's checks, DecodeFailure."""
+        rec = self.recovery(i)
+        if rec.xor:  # `array_code.recover_bit` per set, without the calls
+            out = []
+            for r in rec.readers:
+                acc = 0
+                for j in r.positions:
+                    acc ^= codeword[j]
+                out.append(acc)
+            return out
+        return self._read(rec, codeword, slice(None))
+
+    def _read(self, rec, codeword, sets) -> list:
+        """The symbol through the operator readers ``sets`` of ``rec``:
+        one gather and one stacked product over the code's field."""
+        x = np.asarray(codeword)[rec.index[sets]]
+        y = gf.matmul(self.field, rec.stack[sets], x[..., None])
+        if y[:, 1:].any():
+            raise DecodeFailure("samples fit no polynomial of this degree")
+        return y[:, 0, 0].tolist()
 
     def profile(self) -> dict:
         return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
@@ -177,40 +249,39 @@ def from_multiplicity(params) -> LinearCode:
         params.k_pir, view.info_positions,
         Encoder(params.field, params.base_dim,
                 lambda messages: gf.matmul(params.field, messages, generator)),
-        _memoised(partial(_mult_readers, params)), details,
+        _memoised(partial(_mult_recovery, params)), details,
         batch_planner, params.num_points,
         lambda t: range(t * width, (t + 1) * width))
 
 
 def _memoised(read):
-    """The ``reader(i, s)`` of a code whose ``read(i)`` gives the readers
-    of symbol i, kept by the instance: a roundtrip asks for every reader,
-    and a dict lookup is cheaper than the shared cache's hashing of the
-    code parameters."""
-    readers = {}  # information symbol -> its readers
+    """``read``, kept by the instance: a roundtrip asks for every symbol's
+    recovery, and a dict lookup is cheaper than the shared cache's hashing
+    of the code parameters."""
+    got = {}  # information symbol -> its recovery
 
-    def reader(i, s):
-        got = readers.get(i)
-        if got is None:
-            got = readers[i] = read(i)
-        return got[s]
+    def recovery(i):
+        rec = got.get(i)
+        if rec is None:
+            rec = got[i] = read(i)
+        return rec
 
-    return reader
+    return recovery
 
 
 @lru_cache(maxsize=4096)
-def _mult_readers(params, i) -> tuple:
-    # shared by every instance, as `_array_readers` are: every command
+def _mult_recovery(params, i) -> Recovery:
+    # shared by every instance, as `_array_recovery` is: every command
     # builds a new code
     width = params.symbol_width
     slots = multiplicity.symbol_slots(params)
     point, component = divmod(multiplicity.systematic_view(params).info_positions[i],
                               width)
-    return tuple(
+    return Recovery(tuple(
         Reader(tuple(j for w in plan.points for j in slots[w]),
                _component_operator(pir.recovery_operator(plan), component))
         for plan in pir.pir_recovery_plans(params,
-                                           multiplicity.code_points(params)[point]))
+                                           multiplicity.code_points(params)[point])))
 
 
 @lru_cache(maxsize=4096)
@@ -243,7 +314,7 @@ def from_array(params) -> LinearCode:
     return LinearCode(
         "array", gf2, params.dim, params.length, params.k, range(params.dim),
         Encoder(gf2, params.dim, partial(array_code.encode_columns, params)),
-        _memoised(lambda i: _array_readers(params, divmod(i, params.cols))),
+        _memoised(lambda i: _array_recovery(params, divmod(i, params.cols))),
         lambda: {"rows": params.rows, "cols": params.cols,
                  "slopes": list(params.slopes),
                  "global_parity": params.global_parity},
@@ -258,10 +329,11 @@ def _xor_reader(rec) -> Reader:
 
 
 @lru_cache(maxsize=None)
-def _array_readers(params, cell) -> tuple:
+def _array_recovery(params, cell) -> Recovery:
     # shared by every instance, as the sets are: a roundtrip builds a new
     # code and reads every bit through every set
-    return tuple(Reader(rec, None) for rec in array_code.pir_sets_for_bit(params, cell))
+    return Recovery(tuple(Reader(rec, None)
+                          for rec in array_code.pir_sets_for_bit(params, cell)))
 
 
 def expanded_code(base: LinearCode) -> LinearCode:
@@ -293,25 +365,27 @@ def expanded_code(base: LinearCode) -> LinearCode:
         return [int.from_bytes(raw[j:j + width], "little")
                 for j in range(0, N * width, width)]
 
-    def reader(i, s):
+    def recovery(i):
         base_i, bit = divmod(i, e)
-        return _expanded_reader(base.reader(base_i, s), bit)
+        return _expanded_recovery(base.recovery(base_i), bit)
 
     gf2 = Field(2)
     return LinearCode(
         "binary-expansion", gf2, n, N, base.k,
         tuple(p * e + b for p in base.info_positions for b in range(e)),
-        Encoder(gf2, n, batch), reader,
+        Encoder(gf2, n, batch), recovery,
         lambda: {"bits_per_symbol": e, "base": base.profile()})
 
 
 @lru_cache(maxsize=4096)
-def _expanded_reader(base_reader, bit) -> Reader:
-    # shared by every instance whose base shares its readers, as the
-    # multiplicity readers are: every command builds a new code
-    e = base_reader.operator.field.e
-    return Reader(tuple(j * e + b for j in base_reader.positions for b in range(e)),
-                  _bit_operator(base_reader.operator, bit))
+def _expanded_recovery(base, bit) -> Recovery:
+    # shared by every instance whose base shares its recoveries, as the
+    # multiplicity codes do: every command builds a new code
+    e = base.readers[0].operator.field.e
+    return Recovery(tuple(
+        Reader(tuple(j * e + b for j in r.positions for b in range(e)),
+               _bit_operator(r.operator, bit))
+        for r in base.readers))
 
 
 @lru_cache(maxsize=4096)
@@ -342,16 +416,21 @@ def replicated_code(base: LinearCode, copies: int) -> LinearCode:
         out = base.encode.batch(messages)
         return out * copies if base.field.q == 2 else np.tile(out, copies)
 
-    def reader(i, s):
-        copy, base_s = divmod(s, base.k)
-        got = base.reader(i, base_s)
-        offset = copy * base.N
-        return Reader(tuple(map(offset.__add__, got.positions)), got.operator)
-
     return LinearCode(
         "replication", base.field, base.n, N, base.k * copies, base.info_positions,
-        Encoder(base.field, base.n, batch), reader,
+        Encoder(base.field, base.n, batch),
+        lambda i: _replicated_recovery(base.recovery(i), copies, base.N),
         lambda: {"copies": copies, "base": base.profile()})
+
+
+@lru_cache(maxsize=4096)
+def _replicated_recovery(base, copies, N) -> Recovery:
+    # shared by every instance whose base shares its recoveries: every
+    # command builds a new code, and shifting a base reader into its
+    # replica costs more than reading through it.  Replica 0 is the base.
+    return Recovery(base.readers + tuple(
+        Reader(tuple(map((c * N).__add__, r.positions)), r.operator)
+        for c in range(1, copies) for r in base.readers))
 
 
 def _check_length(N: int) -> int:

@@ -12,6 +12,7 @@ indexing throughout the package (0 first, 1 second, then the rest).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 MAX_FIELD_SIZE = 1 << 16
@@ -389,9 +390,10 @@ _BLOCK = 1 << 16
 
 
 def matmul(field: Field, a, b) -> np.ndarray:
-    """a @ b over the field for int arrays of elements, each of a and b a
-    matrix or a vector, with numpy's shape rules; on lists it equals
-    `linalg.matvec` and `linalg.matmul`.
+    """a @ b over the field for int arrays of elements, with numpy's shape
+    rules: each of a and b a vector, a matrix or a stack of matrices
+    broadcast over its leading axes; on lists it equals `linalg.matvec`
+    and `linalg.matmul`.
 
     Prime fields take an int64 product mod p.  Extension fields form the
     entry products through `multiply` and add them up: all at once when
@@ -405,9 +407,15 @@ def matmul(field: Field, a, b) -> np.ndarray:
         out = a @ b
         out %= field.p
         return out
-    bb = b if b.ndim == 2 else b[:, None]
-    if a.size * bb.shape[1] <= _BLOCK:
-        prod = multiply(field, a[..., None], bb)  # (..., inner, columns)
+    # a vector is a one-row (a) or one-column (b) matrix, dropped at the end
+    aa = a[None] if a.ndim == 1 else a
+    bb = b[:, None] if b.ndim == 1 else b
+    shape = aa.shape[-2:-1] + bb.shape[-1:]
+    if aa.ndim > 2 or bb.ndim > 2:  # a stack
+        shape = np.broadcast_shapes(aa.shape[:-2], bb.shape[:-2]) + shape
+    if math.prod(shape) * aa.shape[-1] <= _BLOCK:
+        # (..., rows, inner, columns)
+        prod = multiply(field, aa[..., None], bb[..., None, :, :])
         if field.p == 2:
             out = np.bitwise_xor.reduce(prod, axis=-2)
         else:
@@ -416,11 +424,13 @@ def matmul(field: Field, a, b) -> np.ndarray:
                 out = out + (prod // place % p).sum(axis=-2) % p * place
                 place *= p
     else:
-        out = np.zeros(a.shape[:-1] + bb.shape[1:], dtype=np.int64)
-        for k in range(len(bb)):
-            prod = multiply(field, a[..., k, None], bb[k])
+        out = np.zeros(shape, dtype=np.int64)
+        for k in range(aa.shape[-1]):
+            prod = multiply(field, aa[..., k, None], bb[..., None, k, :])
             if field.p == 2:
                 out ^= prod
             else:
                 out = add(field, out, prod)
-    return out if b.ndim == 2 else out[..., 0]
+    if a.ndim == 1:
+        out = out[..., 0, :]
+    return out[..., 0] if b.ndim == 1 else out

@@ -368,9 +368,9 @@ def _claim(R):
 def _sets_disjoint(sets):
     seen = set()
     for s in sets:
-        if seen & set(s):
+        if not seen.isdisjoint(s):
             return False
-        seen |= set(s)
+        seen.update(s)
     return True
 
 

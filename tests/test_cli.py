@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pirbatch import cli, codes, curves, multiplicity
 from pirbatch.codes import binary_expand, replicate
@@ -322,6 +324,24 @@ def test_lower_bound_at_quarter():
 def test_unknown_family_errors():
     with pytest.raises(ValueError, match="unknown code family"):
         codes.build_runtime({"family": "mystery"})
+
+
+_SCALAR = (st.integers() | st.booleans() | st.none() | st.text(max_size=4)
+           | st.floats(allow_nan=False))
+_KEY = (st.text(max_size=4), st.integers(-5, 5), st.floats(allow_nan=False),
+        st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(
+    _SCALAR,
+    lambda inner: (st.lists(inner, max_size=4)
+                   # one key type per dict: json refuses to sort mixed keys
+                   | st.one_of(*(st.dictionaries(key, inner, max_size=4)
+                                 for key in _KEY))),
+    max_leaves=20))
+def test_json_text_matches_the_stdlib_encoder(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_array_commands_never_load_numpy(tmp_path):

@@ -17,6 +17,8 @@ def _mult(m, d, s, q):
 
 CASES = {
     "multiplicity-gf7": _mult(2, 2, 2, 7),
+    "multiplicity-gf8": _mult(2, 2, 2, 8),
+    "multiplicity-gf9": _mult(1, 2, 2, 9),
     "expanded-gf4": binary_expand(_mult(2, 2, 2, 4)),
     "expanded-replicated-gf8": replicate(binary_expand(_mult(2, 2, 2, 8)), 2),
     "array": {"family": "array", "r": 5, "p": 5, "S": [0, 1, 2],
@@ -77,6 +79,59 @@ def test_every_reader_matches_its_construction(name):
             # off the code, reader and oracle fail together or agree
             assert (_outcome(code.recover_info, noise, i, s)
                     == _outcome(_oracle, desc, noise, i, s))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_recover_all_reads_every_set_at_once(name):
+    desc = CASES[name]
+    code = codes.build_runtime(desc)
+    rng = random.Random(name)
+    q = code.field.q
+    message = [rng.randrange(q) for _ in range(code.n)]
+    cw = code.encode(message)
+    noise = [rng.randrange(q) for _ in range(code.N)]
+    for i in range(code.n):
+        per_set = [code.recover_info(cw, i, s) for s in range(code.k)]
+        assert code.recover_all(cw, i) == code.recover_all(code.word(cw), i) == per_set
+        assert per_set == [_oracle(desc, cw, i, s) for s in range(code.k)]
+        # a symbol changed inside set s, which no other set of i reads, at
+        # a position its reader does not ignore (a line reads no
+        # derivative across its own direction)
+        s = rng.randrange(code.k)
+        reader = code.reader(i, s)
+        used = (sorted(reader.positions) if reader.operator is None else
+                [j for j, col in zip(reader.positions, reader.operator.matrix.T)
+                 if col.any()])
+        flipped = list(cw)
+        j = rng.choice(used)
+        flipped[j] = (flipped[j] + rng.randrange(1, q)) % q
+        for word in (noise, flipped):
+            outcomes = [_outcome(code.recover_info, word, i, t) for t in range(code.k)]
+            failed = "decode failure" in outcomes
+            assert _outcome(code.recover_all, word, i) == (
+                "decode failure" if failed else outcomes)
+        # on the flipped word, a checked reader refuses the change, the XOR
+        # of a set takes it, and the other sets never see it
+        if reader.operator is not None:
+            assert outcomes[s] == "decode failure"
+        assert outcomes[:s] + outcomes[s + 1:] == [message[i]] * (code.k - 1)
+
+
+def test_recover_all_pads_readers_of_different_shapes():
+    fld = Field(7)
+    wide = pir.RecoveryOperator(fld, 1, [[1, 2, 3], [1, 1, 5]])  # one check row
+    narrow = pir.RecoveryOperator(fld, 1, [[4, 1]])               # none
+    rec = codes.Recovery((codes.Reader((4, 0, 2), wide), codes.Reader((1, 3), narrow)))
+    assert rec.index.tolist() == [[4, 0, 2], [1, 3, 0]]
+    assert rec.stack.shape == (2, 2, 3)
+    code = codes.LinearCode("test", fld, 1, 5, 2, (0,), None, lambda i: rec, dict)
+    for word in ([1, 2, 3, 4, 5], [0, 6, 1, 5, 1], [3, 3, 3, 3, 3]):
+        per_set = [_outcome(r.operator.apply, [word[j] for j in r.positions])
+                   for r in rec.readers]
+        per_set = [v if v == "decode failure" else v[0] for v in per_set]
+        assert [_outcome(code.recover_info, word, 0, s) for s in range(2)] == per_set
+        assert _outcome(code.recover_all, word, 0) == (
+            "decode failure" if "decode failure" in per_set else per_set)
 
 
 def test_readers_read_their_recovering_sets():

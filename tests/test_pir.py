@@ -290,6 +290,15 @@ def test_gf_matmul_matches_linalg(q, rows, cols, seed, block):
             linalg.matmul(fld, matrix, other)
         assert gf.matmul(fld, row, np.array(matrix)).tolist() == \
             linalg.matmul(fld, [row], matrix)[0]
+        # a stack of matrices times a stack of columns, as `codes` reads
+        # every recovering set of a symbol
+        stack = [[[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+                 for _ in range(3)]
+        columns = [[[rng.randrange(q)] for _ in range(cols)] for _ in range(3)]
+        out = gf.matmul(fld, np.array(stack), np.array(columns))
+        assert out.shape == (3, rows, 1)
+        for a, b, got in zip(stack, columns, out):
+            assert got.tolist() == linalg.matmul(fld, a, b)
 
 
 def test_grid_uniqueness_exhaustive():
