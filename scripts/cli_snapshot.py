@@ -10,6 +10,9 @@ descriptors, an expanded GF(4) code, a replicated array code, an
 expanded, replicated GF(4) code, whose codeword is also read with one
 bit flipped inside a recovering set, and multiplicity codes over GF(8)
 and GF(9), whose certification solves spans over an extension field.
+The codeword of the GF(11) benchmark code is also read with one symbol
+changed inside a recovering set, through every set and through that set
+alone, so that both reads fail their checks over a prime field.
 Encoded codewords are printed too.
 """
 
@@ -21,7 +24,7 @@ import json
 import os
 import sys
 
-from pirbatch import cli
+from pirbatch import cli, codes
 
 CODES = {
     "mult-gf11": ["multiplicity", "--m", "2", "--d", "4", "--s", "2", "--q", "11"],
@@ -78,6 +81,17 @@ def main(workdir):
                 json.dump(payload, fh)
             for index in range(n):
                 run(["recover", desc, "--codeword", cw, "--index", str(index)])
+        if name == "mult-gf11":
+            # a position that set 1 of symbol 0 reads with a nonzero column
+            with open(desc) as fh:
+                reader = codes.build_runtime(json.load(fh)).reader(0, 1)
+            j = next(j for j, col in zip(reader.positions, reader.operator.matrix.T)
+                     if col.any())
+            payload["codeword"][j] = (payload["codeword"][j] + 1) % 11
+            with open(cw, "w") as fh:
+                json.dump(payload, fh)
+            run(["recover", desc, "--codeword", cw, "--index", "0"])
+            run(["recover", desc, "--codeword", cw, "--index", "0", "--set", "1"])
 
 
 if __name__ == "__main__":

@@ -114,9 +114,18 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_descriptor(path) -> dict:
+def _read_json(path):
+    """The JSON value in a file.  A value nested too deeply for json's
+    parser is malformed input, a ValueError like any other."""
     with open(path) as fh:
-        desc = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path} nests its JSON too deeply") from None
+
+
+def _load_descriptor(path) -> dict:
+    desc = _read_json(path)
     if not isinstance(desc, dict) or "family" not in desc:
         raise ValueError(f"{path} does not contain a code descriptor")
     return desc
@@ -191,6 +200,8 @@ def _split(items, jobs):
 
 
 def cmd_roundtrip(args) -> int:
+    if args.trials < 0:
+        raise ValueError("--trials must be >= 0")
     desc = _load_descriptor(args.descriptor)
     runtime = build_runtime(desc)
     rng = random.Random(args.seed)
@@ -233,8 +244,7 @@ def cmd_encode(args) -> int:
 def cmd_recover(args) -> int:
     desc = _load_descriptor(args.descriptor)
     runtime = build_runtime(desc)
-    with open(args.codeword) as fh:
-        payload = json.load(fh)
+    payload = _read_json(args.codeword)
     codeword = payload["codeword"] if isinstance(payload, dict) else payload
     q = runtime.field.q
     if not (isinstance(codeword, list) and len(codeword) == runtime.N

@@ -7,12 +7,14 @@ Each recovering set of an information symbol comes with a `Reader`: the
 positions it reads and a checked linear map over the code's own field,
 whose first row gives the symbol and whose other rows must vanish.
 Multiplicity readers are one component of the compiled interpolation
-operator of their plan's shape, array readers XOR one diagonal, binary
+operator of their plan's shape, reading the positions `_plan_positions`
+gives for the plan, array readers XOR one diagonal, binary
 expansion turns every entry c of a base reader into the GF(2) matrix of
 x -> c*x, and replication shifts a base reader into its replica.  A
 reader's recovery rows are the witness `verify` checks its set against.
 The k readers of a symbol form its `Recovery`, which reads all k sets
-of an operator code in one gather and one stacked product.
+of an operator code in one gather and one stacked product through
+`pir.read`, the kernel that also serves the batch path's single plans.
 
 A descriptor arrives from outside the program, so `build_runtime` checks
 each field's type and the code's length before it builds anything whose
@@ -28,7 +30,6 @@ from functools import cached_property, lru_cache, partial
 
 from . import array_code, batch_mult, gf, linalg, multiplicity, pir
 from .gf import CapacityError, Field, check_field_size, np
-from .mpoly import DecodeFailure
 
 # Longest codeword, in base-field coordinates, a descriptor may describe.
 MAX_LENGTH = 10 ** 6
@@ -203,12 +204,9 @@ class LinearCode:
 
     def _read(self, rec, codeword, sets) -> list:
         """The symbol through the operator readers ``sets`` of ``rec``:
-        one gather and one stacked product over the code's field."""
+        one gather and one stacked `pir.read` over the code's field."""
         x = np.asarray(codeword)[rec.index[sets]]
-        y = gf.matmul(self.field, rec.stack[sets], x[..., None])
-        if y[:, 1:].any():
-            raise DecodeFailure("samples fit no polynomial of this degree")
-        return y[:, 0, 0].tolist()
+        return pir.read(self.field, rec.stack[sets], x, 1)[:, 0].tolist()
 
     def profile(self) -> dict:
         return {"family": self.family, "n": self.n, "N": self.N, "k": self.k,
@@ -224,7 +222,6 @@ def from_multiplicity(params) -> LinearCode:
     view = multiplicity.systematic_view(params)
     width = params.symbol_width
     points = multiplicity.code_points(params)
-    slots = multiplicity.symbol_slots(params)
     generator = view.generator.T  # information symbols x coordinates
 
     def batch_planner(k):
@@ -232,8 +229,7 @@ def from_multiplicity(params) -> LinearCode:
 
         def plan(request):
             batch = batch_mult.plan_batch(bp, [points[t] for t in request])
-            return [Reader(tuple(j for w in p.points for j in slots[w]),
-                           pir.recovery_operator(p))
+            return [Reader(_plan_positions(p), pir.recovery_operator(p))
                     for p in batch.plans]
 
         return plan
@@ -273,15 +269,20 @@ def _memoised(read):
 def _mult_recovery(params, i) -> Recovery:
     # shared by every instance, as `_array_recovery` is: every command
     # builds a new code
-    width = params.symbol_width
-    slots = multiplicity.symbol_slots(params)
     point, component = divmod(multiplicity.systematic_view(params).info_positions[i],
-                              width)
+                              params.symbol_width)
     return Recovery(tuple(
-        Reader(tuple(j for w in plan.points for j in slots[w]),
+        Reader(_plan_positions(plan),
                _component_operator(pir.recovery_operator(plan), component))
         for plan in pir.pir_recovery_plans(params,
                                            multiplicity.code_points(params)[point])))
+
+
+def _plan_positions(plan) -> tuple:
+    """The codeword positions a plan's operator reads, in column order:
+    every component of each of its points, in recovery order."""
+    slots = multiplicity.symbol_slots(plan.params)
+    return tuple(j for w in plan.points for j in slots[w])
 
 
 @lru_cache(maxsize=4096)

@@ -1,10 +1,11 @@
-"""Dense linear algebra over a Field: elimination, inversion, span tests.
+"""Dense linear algebra over a Field: elimination and span tests.
 
 Matrices are lists of row lists of ints, or int arrays of elements, and
 everything here is exact.  `rref`, numpy Gauss-Jordan over every field,
-serves span solving, inversion and the systematic view of a multiplicity
-code; `row_echelon_with_combos` and `solve_by_elimination` are its
-pure-Python oracle.  `solve_in_span_gf2` solves on GF(2) bitmasks without
+serves span solving, the Hermite line solvers of `mpoly` and the
+systematic view of a multiplicity code.  `row_echelon_with_combos`
+serves only `solve_by_elimination`, the pure-Python oracle of
+`solve_in_span`.  `solve_in_span_gf2` solves on GF(2) bitmasks without
 numpy, converted from 0/1 vectors by `_pack` and `_unpack`; `_symbols`
 and `in_field` check that a vector's entries lie in [0, q).
 """
@@ -77,17 +78,6 @@ def rref(field, matrix):
         pivots.append(col)
         col += 1
     return work, pivots
-
-
-def invert(field, rows):
-    """Inverse of a square matrix: the right half of rref([A | I]).
-    ValueError if singular, which puts a pivot in that half."""
-    n = len(rows)
-    a = np.asarray(rows, dtype=np.int64).reshape(n, n)
-    reduced, pivots = rref(field, np.hstack([a, np.eye(n, dtype=np.int64)]))
-    if any(col >= n for col in pivots):
-        raise ValueError("matrix is singular")
-    return reduced[:, n:].tolist()
 
 
 def row_echelon_with_combos(field, rows):

@@ -18,7 +18,8 @@ import itertools
 from functools import lru_cache
 from math import comb
 
-from . import linalg
+from . import gf, linalg
+from .gf import np
 
 
 class DecodeFailure(RuntimeError):
@@ -232,38 +233,36 @@ def order_m_evaluation(P: Poly, w, m: int) -> tuple:
 class _HermiteSolver:
     """Solve operator for one (sample-structure, degree) shape.
 
-    Row (lam, u) constrains sum_j binom(j, u) lam^(j-u) c_j; the operator
-    maps consistent right-hand sides to the unique degree-<=d coefficient
-    vector and rejects inconsistent ones.
+    Row (lam, u) of the constraint matrix M constrains
+    sum_j binom(j, u) lam^(j-u) c_j.  One rref of [M | I] gives E with
+    E @ M reduced: at full column rank its first d+1 rows, ``solve_rows``,
+    are a left inverse of M, mapping consistent right-hand sides to the
+    unique degree-<=d coefficient vector, and the other rows,
+    ``check_rows``, span every combination of the constraints that
+    vanishes on M, so they are all zero exactly on consistent ones.
     """
 
-    __slots__ = ("field", "matrix", "solve_rows")
+    __slots__ = ("field", "solve_rows", "check_rows")
 
     def __init__(self, field, rows, d):
         self.field = field
-        width = d + 1
-        matrix = []
-        for lam, u in rows:
-            matrix.append([field.mul(field.from_int(comb(j, u)),
-                                     field.pow(lam, j - u)) if j >= u else 0
-                           for j in range(width)])
-        ech, combos, pivot_cols = linalg.row_echelon_with_combos(field, matrix)
-        if len(pivot_cols) < width:
+        width, n = d + 1, len(rows)
+        matrix = np.array([[field.mul(field.from_int(comb(j, u)), field.pow(lam, j - u))
+                            if j >= u else 0 for j in range(width)] for lam, u in rows],
+                          dtype=np.int64).reshape(n, width)
+        reduced, pivots = linalg.rref(field, np.hstack([matrix, np.eye(n, dtype=np.int64)]))
+        if pivots[:width] != list(range(width)):
             raise ValueError(
-                f"under-determined: {len(rows)} constraints for degree {d}")
-        # c = E^-1 @ C @ b where E is the echelon block and C its combos
-        e_inv = linalg.invert(field, [row[:width] for row in ech[:width]])
-        self.solve_rows = linalg.matmul(field, e_inv, combos[:width])
-        self.matrix = matrix
+                f"under-determined: {n} constraints of rank below {width} for degree {d}")
+        reduced.setflags(write=False)  # kept by the solver cache
+        self.solve_rows = reduced[:width, width:]
+        self.check_rows = reduced[width:, width:]
 
     def solve(self, values):
         f = self.field
-        coeffs = linalg.matvec(f, self.solve_rows, values)
-        # residual over every constraint detects corrupted inputs
-        for row, b in zip(linalg.matvec(f, self.matrix, coeffs), values):
-            if row != b:
-                raise DecodeFailure("samples fit no polynomial of this degree")
-        return coeffs
+        if gf.matmul(f, self.check_rows, values).any():
+            raise DecodeFailure("samples fit no polynomial of this degree")
+        return gf.matmul(f, self.solve_rows, values).tolist()
 
 
 @lru_cache(maxsize=4096)

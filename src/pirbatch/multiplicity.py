@@ -94,11 +94,6 @@ def point_index(params: MultCodeParams, w) -> int:
     return idx
 
 
-def base_position(params: MultCodeParams, w, component: int) -> int:
-    """Flat base-field index of one symbol component."""
-    return point_index(params, w) * params.symbol_width + component
-
-
 class MultCodeword:
     """One codeword: a symbol (order-m evaluation tuple) per point."""
 
@@ -190,11 +185,6 @@ def systematic_encode(view: SystematicView, info) -> MultCodeword:
         raise ValueError(f"expected {n} information symbols, got {len(info)}")
     values = gf.matmul(params.field, view.generator, info).tolist()
     return MultCodeword.from_base_values(params, values)
-
-
-def extract_info(view: SystematicView, codeword: MultCodeword) -> list:
-    values = codeword.base_values()
-    return [values[j] for j in view.info_positions]
 
 
 @lru_cache(maxsize=None)

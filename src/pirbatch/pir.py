@@ -8,9 +8,12 @@ disjoint blocks are disjoint under scalar multiplication and the line
 sets of different grids never share a point besides w0 itself.
 
 Recovery along a plan is linear in the codeword, so each plan shape is
-compiled once into a checked linear operator over GF(q); the
-interpolation it replaces stays as `interpolate_symbol`, the oracle the
-tests compare it against.
+compiled once into a checked linear operator over GF(q): per line, the
+solve and check rows of its Hermite solver, combined across the grid of
+directions.  `read` is the one kernel that applies such operators, one
+of them here and a stack of k in `codes.LinearCode`.  The interpolation
+an operator replaces stays as `interpolate_symbol`, the oracle the tests
+compare it against.
 """
 
 from __future__ import annotations
@@ -113,9 +116,9 @@ class RecoveryOperator:
 
     The first ``width`` rows are R, the recovered symbol R @ x; the rest
     are H, and H @ x is zero exactly when the interpolation in
-    `interpolate_symbol` succeeds: H holds every line's Hermite residual
-    and every coefficient that homogeneous grid interpolation requires
-    to be zero.
+    `interpolate_symbol` succeeds: H holds every line's Hermite check
+    rows and every coefficient that homogeneous grid interpolation
+    requires to be zero.  `read` applies it.
     Entries are stored in the narrowest unsigned type that holds them.
     The readers of `codes.LinearCode` keep one row of R with all of H,
     over GF(q) or, for a bit-level code, over GF(2).
@@ -128,11 +131,19 @@ class RecoveryOperator:
         self.width = width
         self.matrix = gf.narrow(field, matrix)
 
-    def apply(self, x) -> tuple:
-        y = gf.matmul(self.field, self.matrix, x)
-        if y[self.width:].any():
-            raise DecodeFailure("samples fit no polynomial of this degree")
-        return tuple(y[:self.width].tolist())
+
+def read(field, operators, x, width):
+    """The one read kernel: operator matrices applied to their
+    restrictions over the field, as one product.  ``operators`` is one
+    (rows, cols) matrix with x its (cols,) restriction, or a (k, rows,
+    cols) stack with x the (k, cols) restrictions; the first ``width``
+    rows of each give the recovered values, returned as a (width,) or a
+    (k, width) array, and a nonzero value in any other row, a check row,
+    raises DecodeFailure."""
+    y = gf.matmul(field, operators, np.asarray(x)[..., None])
+    if y[..., width:, :].any():
+        raise DecodeFailure("samples fit no polynomial of this degree")
+    return y[..., :width, 0]
 
 
 def recovery_operator(plan: RecoveryPlan) -> RecoveryOperator:
@@ -144,7 +155,7 @@ def recovery_operator(plan: RecoveryPlan) -> RecoveryOperator:
 @lru_cache(maxsize=4096)
 def _compile(params, lines) -> RecoveryOperator:
     """R stacks the grid mixing over the lines' coefficient rows; H holds
-    the mixing's vanishing rows and every line's residual rows."""
+    the mixing's vanishing rows and every line's check rows."""
     field, m = params.field, params.m
     blocks = [_line_operator(params, v, drops) for v, drops in lines]
     ncols = sum(coef.shape[1] for coef, _ in blocks)
@@ -165,7 +176,7 @@ def _line_operator(params, v, drops):
     """(C, H) for one line as int arrays over its restriction (each kept
     point's symbol, by increasing lambda): C gives the first m
     coefficients of the interpolated univariate restriction, and H the
-    nonzero rows of its Hermite residual."""
+    check rows of its Hermite solver."""
     field, m = params.field, params.m
     lams = [lam for lam in range(1, params.q) if lam not in drops]
     solver = _hermite_solver(
@@ -175,17 +186,12 @@ def _line_operator(params, v, drops):
     sample, weight = zip(*((u, vpow) for u, row in enumerate(_component_rows(params, v))
                            for _, vpow in row))
     src = (np.arange(len(lams))[:, None] * m + np.array(sample)).ravel()
-    solve = np.array(solver.solve_rows, dtype=np.int64)
-    resid = gf.matmul(field, solver.matrix, solve)
-    # minus the identity: 1 lies in the prime subfield, the lowest digit
-    diag = resid.diagonal()
-    np.fill_diagonal(resid, diag - diag % field.p + (diag - 1) % field.p)
+    solve = solver.solve_rows
     coef = np.zeros((m, solve.shape[1]), dtype=np.int64)
     coef[:min(m, len(solve))] = solve[:m]
-    rows = gf.multiply(field, np.vstack([coef, resid])[:, src],
+    rows = gf.multiply(field, np.vstack([coef, solver.check_rows])[:, src],
                        np.tile(weight, len(lams)))
-    check = rows[m:]
-    return rows[:m], check[check.any(axis=1)]
+    return rows[:m], rows[m:]
 
 
 @lru_cache(maxsize=None)
@@ -223,8 +229,9 @@ def recover_symbol(codeword, plan: RecoveryPlan) -> tuple:
 
     ``codeword`` is anything mapping a point tuple to its symbol.
     """
+    op = recovery_operator(plan)
     x = [c for w in plan.points for c in codeword[w]]
-    return recovery_operator(plan).apply(x)
+    return tuple(read(op.field, op.matrix, x, op.width).tolist())
 
 
 def interpolate_symbol(codeword, plan: RecoveryPlan) -> tuple:

@@ -310,15 +310,6 @@ def _solve_recovery(G, target, R):
     return True, {j: c for j, c in zip(cols_idx, coeffs) if c}
 
 
-def recover_value(G: GeneratorMatrix, coeffs, codeword) -> int:
-    """Apply recovery coefficients to codeword values."""
-    fld = G.field
-    acc = 0
-    for j, c in coeffs.items():
-        acc = fld.add(acc, fld.mul(c, codeword[j]))
-    return acc
-
-
 @dataclass
 class Report:
     """Outcome of a certification run; failures are data, not errors."""
@@ -454,8 +445,11 @@ def _row(witness, r):
 def enumerate_requests(num_targets: int, k: int, targets=None,
                        limit=DEFAULT_REQUEST_LIMIT, seed=0):
     """All size-k multisets of targets, or a seeded sample when the full
-    enumeration exceeds ``limit``.  Returns (requests, seed_used, sampled).
+    enumeration exceeds ``limit``, which must be at least 1.  Returns
+    (requests, seed_used, sampled).
     """
+    if limit < 1:
+        raise ValueError(f"the request limit must be >= 1, got {limit}")
     targets = list(targets) if targets is not None else list(range(num_targets))
     total = 1
     for i in range(k):

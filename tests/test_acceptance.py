@@ -33,10 +33,10 @@ from pirbatch.gf import Field, is_prime
 from pirbatch.mpoly import Poly, monomials_of_weight
 from pirbatch.multiplicity import (
     MultCodeParams,
-    base_position,
     code_points,
     code_profile,
     encode_poly,
+    symbol_slots,
     systematic_encode,
     systematic_view,
 )
@@ -82,9 +82,8 @@ def mult_generator(params):
 
 
 def expand_plan(params, plan):
-    return frozenset(base_position(params, w, c)
-                     for w in plan.coordinates
-                     for c in range(params.symbol_width))
+    slots = symbol_slots(params)
+    return frozenset(j for w in plan.coordinates for j in slots[w])
 
 
 def test_acceptance_1_multiplicity_pir():
@@ -103,7 +102,7 @@ def test_acceptance_1_multiplicity_pir():
         for R in base_sets:
             for c in range(width):
                 ok, _ = is_recovering_position(
-                    G, base_position(params, w0, c), R)
+                    G, symbol_slots(params)[w0][c], R)
                 assert ok
     # the same sets phrased per information symbol
     runtime = codes.from_multiplicity(params)

@@ -219,6 +219,43 @@ def test_corrupted_descriptor_exit_2(tmp_path, capsys):
     assert run(["certify", str(bad), "--mode", "pir"]) == 2
 
 
+def test_roundtrip_refuses_negative_trials(tmp_path, capsys):
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(ARR))
+    assert run(["roundtrip", str(code), "--trials", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--trials" in captured.err
+    assert run(["roundtrip", str(code), "--trials", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"] == 0
+
+
+@pytest.mark.parametrize("limit", ["0", "-5"])
+def test_certify_batch_refuses_a_limit_below_one(limit, tmp_path, capsys):
+    # 0 requests would fail certification (exit 1), not the usage
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(ARR))
+    assert run(["certify", str(code), "--mode", "batch", "--limit", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "limit" in captured.err
+
+
+def test_deeply_nested_descriptor_exit_2(tmp_path, capsys):
+    # a well-formed descriptor, 5 000 replication levels deep
+    path = tmp_path / "deep.json"
+    path.write_text('{"family": "replication", "copies": 1, "base": ' * 5000
+                    + json.dumps(ARR) + "}" * 5000)
+    assert run(["roundtrip", str(path)]) == 2
+    assert "too deeply" in capsys.readouterr().err
+
+
+def test_deeply_nested_codeword_exit_2(tmp_path, capsys):
+    code, cw = tmp_path / "code.json", tmp_path / "cw.json"
+    code.write_text(json.dumps(ARR))
+    cw.write_text("[" * 5000 + "]" * 5000)
+    assert run(["recover", str(code), "--codeword", str(cw), "--index", "0"]) == 2
+    assert "too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("desc,field", [
     ({**MULT, "q": "7"}, "q"),
     ({**MULT, "m": 2.0}, "m"),

@@ -63,31 +63,6 @@ def test_prime_field_solve_matches_elimination(q, kind, n, k, seed):
         assert linalg.matvec(fld, rows, got) == (target if cols else [])
 
 
-@pytest.mark.parametrize("q", [2, 4, 9, 11])
-def test_invert(q):
-    fld, rng = Field.from_order(q), random.Random(q)
-    for n in range(1, 6):
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        inverted = 0
-        while inverted < 5:
-            a = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            if len(linalg.row_echelon_with_combos(fld, a)[2]) < n:
-                with pytest.raises(ValueError):
-                    linalg.invert(fld, a)
-                continue
-            inv = linalg.invert(fld, a)
-            assert linalg.matmul(fld, a, inv) == identity
-            assert linalg.matmul(fld, inv, a) == identity
-            inverted += 1
-        # the last row a combination of the first two (of the first at n = 2)
-        if n >= 2:
-            a[-1] = _combine(fld, [a[0], a[1 % (n - 1)]], [rng.randrange(q), 1], n)
-            with pytest.raises(ValueError):
-                linalg.invert(fld, a)
-    with pytest.raises(ValueError):
-        linalg.invert(fld, [[0, 0], [0, 0]])
-
-
 @settings(max_examples=200, deadline=None)
 @given(bits=st.lists(st.integers(0, 1), max_size=300))
 def test_pack_and_unpack_are_inverse(bits):

@@ -2,11 +2,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pirbatch import linalg
 from pirbatch.gf import Field
 from pirbatch.mpoly import (
     DecodeFailure,
     Poly,
+    _hermite_solver,
     count_degree,
     count_monomials,
     hasse_derivative,
@@ -197,6 +201,27 @@ def test_hermite_erasures():
     kept = [1, 2, 5, 7, 9]
     samples = [(x, order_m_evaluation(p, (x,), 2)) for x in kept]
     assert hermite_interpolate(f, samples, 4) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=st.sampled_from([2, 3, 4, 7, 8, 9]), m=st.integers(1, 3), data=st.data())
+def test_hermite_solver_rows_invert_and_check_the_constraints(q, m, data):
+    f = Field.from_order(q)
+    pts = data.draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=q, unique=True))
+    rows = tuple((lam, u) for lam in pts for u in range(m))
+    d = data.draw(st.integers(0, len(rows) - 1))
+    # row (lam, u) of M: the u-th Hasse derivative of t^j at lam, per j <= d
+    M = [[hasse_derivative(univariate(f, [0] * j + [1]), (u,)).evaluate((lam,))
+          for j in range(d + 1)] for lam, u in rows]
+    solver = _hermite_solver(f, rows, d)
+    identity = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
+    assert linalg.matmul(f, solver.solve_rows.tolist(), M) == identity
+    assert len(solver.check_rows) == len(rows) - (d + 1)
+    assert all(not any(r) for r in linalg.matmul(f, solver.check_rows.tolist(), M))
+    # one point's m constraints twice over: rank m, below the d + 1 = m + 1
+    # unknowns, though there are 2m >= d + 1 rows
+    with pytest.raises(ValueError):
+        _hermite_solver(f, rows[:m] * 2, m)
 
 
 def test_hermite_errors():

@@ -12,13 +12,12 @@ from pirbatch.mpoly import Poly, count_degree, monomials_up_to_degree, univariat
 from pirbatch.multiplicity import (
     MultCodeParams,
     MultCodeword,
-    base_position,
     code_points,
     code_profile,
     encode_poly,
-    extract_info,
     line_samples,
     params_from_descriptor,
+    symbol_slots,
     systematic_encode,
     systematic_view,
     to_descriptor,
@@ -88,7 +87,8 @@ def test_systematic_roundtrip_random():
     for _ in range(10):
         P = random_poly(ps.field, 2, 2, rng)
         cw = encode_poly(ps, P)
-        info = extract_info(view, cw)
+        values = cw.base_values()
+        info = [values[j] for j in view.info_positions]
         assert systematic_encode(view, info) == cw
     zero = systematic_encode(view, [0] * ps.base_dim)
     assert all(v == 0 for v in zero.base_values())
@@ -99,8 +99,8 @@ def test_systematic_info_positions_identity():
         view = systematic_view(ps)
         rng = random.Random(ps.q)
         info = [rng.randrange(ps.q) for _ in range(ps.base_dim)]
-        cw = systematic_encode(view, info)
-        assert extract_info(view, cw) == info
+        values = systematic_encode(view, info).base_values()
+        assert [values[j] for j in view.info_positions] == info
 
 
 # (m, d, s, q) over GF(p) and GF(4), GF(8), GF(9) with s in {1, 2, 3}, at
@@ -122,7 +122,8 @@ def test_compiled_systematic_encode_matches_encode_poly(code, seed):
     P = Poly(ps.field, ps.s, dict(zip(monomials_up_to_degree(ps.s, ps.d), coeffs)))
     cw = systematic_encode(view, info)
     assert cw == encode_poly(ps, P)
-    assert extract_info(view, cw) == info
+    values = cw.base_values()
+    assert [values[j] for j in view.info_positions] == info
 
 
 def line_restriction_oracle(P, w0, v):
@@ -196,8 +197,8 @@ def test_codeword_layout():
     ps = params(2, 2, 2, 7)
     pts = code_points(ps)
     assert pts[0] == (0, 0) and pts[1] == (0, 1) and pts[7] == (1, 0)
-    assert base_position(ps, (1, 0), 2) == 7 * 3 + 2
+    assert symbol_slots(ps)[(1, 0)][2] == 7 * 3 + 2
     cw = encode_poly(ps, Poly(ps.field, 2, {(1, 0): 1}))
-    assert cw.base_values()[base_position(ps, (3, 5), 0)] == 3
+    assert cw.base_values()[symbol_slots(ps)[(3, 5)][0]] == 3
     again = MultCodeword.from_base_values(ps, cw.base_values())
     assert again == cw
