@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from functools import lru_cache
@@ -150,6 +151,8 @@ def cmd_certify(args) -> int:
     desc = _load_descriptor(args.descriptor)
     runtime = build_runtime(desc)
     k = args.k if args.k is not None else runtime.k
+    if k < 1:
+        raise ValueError(f"--k must be >= 1, got {k}")
     if args.mode == "pir":
         work = list(range(runtime.n))
         seed, sampled = None, False
@@ -160,11 +163,11 @@ def cmd_certify(args) -> int:
             runtime.batch_targets, k, limit=args.limit, seed=args.seed)
         work = list(reqs)
     chunks = _split(work, max(1, args.jobs))
-    results = []
-    if args.jobs > 1 and len(chunks) > 1:
+    workers = min(args.jobs, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             results = pool.map(_certify_chunk,
                                [(desc, args.mode, k, c) for c in chunks])
     else:
@@ -226,10 +229,6 @@ def cmd_encode(args) -> int:
     runtime = build_runtime(desc)
     if args.message is not None:
         message = _parse_ints(args.message)
-        if len(message) != runtime.n:
-            raise ValueError(f"expected {runtime.n} message symbols")
-        if any(not 0 <= v < runtime.field.q for v in message):
-            raise ValueError("message symbols outside the field")
     elif args.random:
         rng = random.Random(args.seed)
         message = [rng.randrange(runtime.field.q) for _ in range(runtime.n)]

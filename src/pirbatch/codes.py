@@ -466,9 +466,9 @@ def _check_fields(descriptor) -> str:
 def build_runtime(descriptor: dict) -> LinearCode:
     """The code a descriptor names.
 
-    A malformed descriptor raises ValueError; one whose field size or
-    codeword length exceeds its cap raises CapacityError before the code
-    is built.
+    A malformed descriptor raises ValueError; one whose field size,
+    codeword length or dense multiplicity generator exceeds its cap
+    raises CapacityError before the code is built.
     """
     family = _check_fields(descriptor)
     if family == "multiplicity":
@@ -480,6 +480,7 @@ def build_runtime(descriptor: dict) -> LinearCode:
             raise CapacityError(f"q^s points with s={s} exceed the cap {MAX_LENGTH}")
         params = multiplicity.params_from_descriptor(descriptor)
         _check_length(params.base_length)
+        linalg.check_generator_size(params.base_dim, params.base_length)
         return from_multiplicity(params)
     if family == "array":
         params = array_code.params_from_descriptor(descriptor)

@@ -370,20 +370,6 @@ def add(field: Field, a, b) -> np.ndarray:
     return out
 
 
-def subtract(field: Field, a, b) -> np.ndarray:
-    """Entry-by-entry difference a - b of int arrays of elements,
-    broadcasting as numpy does: an XOR for p = 2, otherwise digit by
-    digit mod p (a prime field's elements have one digit)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    p = field.p
-    if p == 2:
-        return a ^ b
-    place = p ** np.arange(field.e, dtype=np.int64)
-    # a // p**i is digit i of a plus a multiple of p
-    return (a[..., None] // place - b[..., None] // place) % p @ place
-
-
 # entries of the largest product block that `matmul` forms at once over an
 # extension field
 _BLOCK = 1 << 16

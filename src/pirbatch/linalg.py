@@ -1,30 +1,37 @@
 """Dense linear algebra over a Field: elimination and span tests.
 
 Matrices are lists of row lists of ints, or int arrays of elements, and
-everything here is exact.  `rref`, numpy Gauss-Jordan over every field,
-serves span solving, the Hermite line solvers of `mpoly` and the
-systematic view of a multiplicity code.  `row_echelon_with_combos`
-serves only `solve_by_elimination`, the pure-Python oracle of
-`solve_in_span`.  `solve_in_span_gf2` solves on GF(2) bitmasks without
-numpy, converted from 0/1 vectors by `_pack` and `_unpack`; `_symbols`
-and `in_field` check that a vector's entries lie in [0, q).
+everything here is exact.  `rref`, numpy Gauss-Jordan over every field
+that adds negated multiples of each pivot row to the others, serves span
+solving, the Hermite line solvers of `mpoly` and the systematic view of
+a multiplicity code.  `row_echelon_with_combos` serves only
+`solve_by_elimination`, the pure-Python oracle of `solve_in_span`.
+`solve_in_span_gf2` solves on GF(2) bitmasks without numpy, converted
+from 0/1 vectors by `_pack` and `_unpack`; `_symbols` and `in_field`
+check that a vector's entries lie in [0, q).  `check_generator_size`
+refuses a dense generator above `MAX_GENERATOR_ENTRIES` before it is
+built.
 """
 
 from __future__ import annotations
 
 from . import gf
-from .gf import np
+from .gf import CapacityError, np
+
+# entries of the largest dense n x N generator a code may build or a
+# certification may extract: about 20 times the largest the tests build
+MAX_GENERATOR_ENTRIES = 10 ** 7
+
+
+def check_generator_size(n: int, N: int) -> None:
+    """Refuse an n x N generator above the cap before it is built."""
+    if n * N > MAX_GENERATOR_ENTRIES:
+        raise CapacityError(f"a {n} x {N} generator exceeds the cap of "
+                            f"{MAX_GENERATOR_ENTRIES} entries")
 
 
 def matvec(field, rows, v):
-    out = []
-    for row in rows:
-        acc = 0
-        for a, x in zip(row, v):
-            if a and x:
-                acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return out
+    return [_dot(field, row, v) for row in rows]
 
 
 def matmul(field, a_rows, b_rows):
@@ -47,9 +54,10 @@ def rref(field, matrix):
     column with a nonzero below the rows already reduced, so the pivot
     columns are the first ones independent of those before.
 
-    Prime fields scale and subtract rows by int64 arithmetic mod p,
-    extension fields by `gf.multiply` and `gf.subtract`.  Each pivot costs
-    tens of µs of numpy call overhead."""
+    Prime fields scale and subtract rows by int64 arithmetic mod p.
+    Extension fields scale by `gf.multiply` and add negated multiples of
+    the pivot row by `gf.add`, negating the factor column once per pivot.
+    Each pivot costs tens of µs of numpy call overhead."""
     p, prime = field.p, field.e == 1
     work = np.array(matrix, dtype=np.int64)
     if prime:
@@ -73,8 +81,8 @@ def rref(field, matrix):
             work = (work - factors[:, None] * work[r]) % p
         else:
             work[r] = gf.multiply(field, work[r], scale)
-            work = gf.subtract(field, work,
-                               gf.multiply(field, factors[:, None], work[r]))
+            negated = gf.multiply(field, factors, field.neg(1))
+            work = gf.add(field, work, gf.multiply(field, negated[:, None], work[r]))
         pivots.append(col)
         col += 1
     return work, pivots

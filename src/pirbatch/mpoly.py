@@ -3,7 +3,10 @@
 Provides the arithmetic the code constructions need: Hasse derivatives
 (characteristic-robust), order-limited evaluation vectors, univariate
 interpolation from derivative data (with erasures), and interpolation of
-homogeneous polynomials on axis-aligned grids.
+homogeneous polynomials on axis-aligned grids.  `read`, next to the
+`DecodeFailure` it raises, is the one kernel that applies a checked
+linear operator: the Hermite solvers here, the recovery operators of
+`pir` and the reader stacks of `codes.LinearCode` all go through it.
 
 Exponent vectors are tuples of non-negative ints.  All indexed vectors
 (evaluation vectors, coefficient layouts) use one global monomial order:
@@ -24,6 +27,20 @@ from .gf import np
 
 class DecodeFailure(RuntimeError):
     """Samples are inconsistent with any polynomial of the required shape."""
+
+
+def read(field, operators, x, width):
+    """The one kernel that applies checked operators: operator matrices
+    applied to their restrictions over the field, as one product.
+    ``operators`` is one (rows, cols) matrix with x its (cols,)
+    restriction, or a (k, rows, cols) stack with x the (k, cols)
+    restrictions; the first ``width`` rows of each give the recovered
+    values, returned as a (width,) or a (k, width) array, and a nonzero
+    value in any other row, a check row, raises DecodeFailure."""
+    y = gf.matmul(field, operators, np.asarray(x)[..., None])
+    if y[..., width:, :].any():
+        raise DecodeFailure("samples fit no polynomial of this degree")
+    return y[..., :width, 0]
 
 
 def count_monomials(s: int, m: int) -> int:
@@ -235,14 +252,15 @@ class _HermiteSolver:
 
     Row (lam, u) of the constraint matrix M constrains
     sum_j binom(j, u) lam^(j-u) c_j.  One rref of [M | I] gives E with
-    E @ M reduced: at full column rank its first d+1 rows, ``solve_rows``,
-    are a left inverse of M, mapping consistent right-hand sides to the
-    unique degree-<=d coefficient vector, and the other rows,
-    ``check_rows``, span every combination of the constraints that
-    vanishes on M, so they are all zero exactly on consistent ones.
+    E @ M reduced; its right block is a checked operator for `read`.  At
+    full column rank its first d+1 rows, ``solve_rows``, are a left
+    inverse of M, mapping consistent right-hand sides to the unique
+    degree-<=d coefficient vector, and the other rows, ``check_rows``,
+    span every combination of the constraints that vanishes on M, so
+    they are all zero exactly on consistent ones.
     """
 
-    __slots__ = ("field", "solve_rows", "check_rows")
+    __slots__ = ("field", "operator", "solve_rows", "check_rows")
 
     def __init__(self, field, rows, d):
         self.field = field
@@ -255,14 +273,11 @@ class _HermiteSolver:
             raise ValueError(
                 f"under-determined: {n} constraints of rank below {width} for degree {d}")
         reduced.setflags(write=False)  # kept by the solver cache
-        self.solve_rows = reduced[:width, width:]
-        self.check_rows = reduced[width:, width:]
+        self.operator = reduced[:, width:]
+        self.solve_rows, self.check_rows = self.operator[:width], self.operator[width:]
 
     def solve(self, values):
-        f = self.field
-        if gf.matmul(f, self.check_rows, values).any():
-            raise DecodeFailure("samples fit no polynomial of this degree")
-        return gf.matmul(f, self.solve_rows, values).tolist()
+        return read(self.field, self.operator, values, len(self.solve_rows)).tolist()
 
 
 @lru_cache(maxsize=4096)

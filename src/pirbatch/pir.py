@@ -10,7 +10,8 @@ sets of different grids never share a point besides w0 itself.
 Recovery along a plan is linear in the codeword, so each plan shape is
 compiled once into a checked linear operator over GF(q): per line, the
 solve and check rows of its Hermite solver, combined across the grid of
-directions.  `read` is the one kernel that applies such operators, one
+directions.  `read`, imported from `mpoly`, where it also applies the
+Hermite line solvers, is the one kernel that applies such operators, one
 of them here and a stack of k in `codes.LinearCode`.  The interpolation
 an operator replaces stays as `interpolate_symbol`, the oracle the tests
 compare it against.
@@ -25,13 +26,13 @@ from functools import lru_cache
 from . import gf
 from .gf import np
 from .mpoly import (
-    DecodeFailure,
     _hermite_solver,
     _lagrange_basis,
     grid_axes,
     hermite_interpolate,
     homogeneous_interpolate,
     monomials_below,
+    read,
 )
 from .multiplicity import MultCodeParams, _component_rows, line_points, line_samples
 
@@ -130,20 +131,6 @@ class RecoveryOperator:
         self.field = field
         self.width = width
         self.matrix = gf.narrow(field, matrix)
-
-
-def read(field, operators, x, width):
-    """The one read kernel: operator matrices applied to their
-    restrictions over the field, as one product.  ``operators`` is one
-    (rows, cols) matrix with x its (cols,) restriction, or a (k, rows,
-    cols) stack with x the (k, cols) restrictions; the first ``width``
-    rows of each give the recovered values, returned as a (width,) or a
-    (k, width) array, and a nonzero value in any other row, a check row,
-    raises DecodeFailure."""
-    y = gf.matmul(field, operators, np.asarray(x)[..., None])
-    if y[..., width:, :].any():
-        raise DecodeFailure("samples fit no polynomial of this degree")
-    return y[..., :width, 0]
 
 
 def recovery_operator(plan: RecoveryPlan) -> RecoveryOperator:

@@ -93,17 +93,19 @@ def extract_generator(fld, encoder, n, N, trials=50, rng=None) -> GeneratorMatri
     The block is checked as a whole: every encoding has length N and
     symbols in [0, q), the trial encodings are additive, and every row
     has a unit column (the first, found on the column masks over GF(2),
-    else on the rows array).  Over GF(2) the block is given as column
-    words, otherwise as a (messages, n) array (see `codes.Encoder`).  An
-    encoder with a ``batch`` attribute, as a `codes.Encoder` has,
-    encodes the block in one call; any other is called once per message
-    on it.  The generator keeps what it was built with for later checks.
+    else on the rows array).  An encoder with a ``batch`` attribute, as
+    a `codes.Encoder` has, encodes the block in one call, over GF(2) as
+    column words, otherwise as a (messages, n) array.  Any other encoder
+    takes the array path on every field, GF(2) included: it is called
+    once per row of the block and must return ints.  The generator keeps
+    what it was built with for later checks.  An n x N generator above
+    `linalg.MAX_GENERATOR_ENTRIES` raises CapacityError before any
+    message is encoded.
     """
+    linalg.check_generator_size(n, N)
     rng = rng or random.Random(0)
     batch = getattr(encoder, "batch", None)
-    if fld.q == 2:
-        if batch is None:
-            batch = _mapped_words(encoder, n, N, n + 3 * trials)
+    if fld.q == 2 and batch is not None:
         return _extract_words(fld, batch, n, N, trials, rng)
     return _extract_array(fld, batch or _mapped_rows(encoder, N), n, N, trials, rng)
 
@@ -179,28 +181,6 @@ def _random_array(rng, q, t, n):
     return np.frombuffer(raw, dtype="<u4").reshape(t, n).astype(np.int64) % q
 
 
-def _mapped_words(encoder, n, N, count):
-    """A batch encoder over column words that calls ``encoder`` once per
-    message of a batch of ``count``: message r is bit r of every word, and
-    every codeword must be N symbols in [0, 2) to pack into words."""
-
-    def batch(words):
-        # each word unpacked to its count bits is a column of the batch,
-        # so the bytes are column-major and message r is every count-th byte
-        flat = b"".join(linalg._unpack(w, count) for w in words)
-        rows = []
-        for r in range(count):
-            cw = list(encoder(list(flat[r::count])))
-            _length(len(cw), N)
-            bits = linalg._symbols(cw, 2)
-            if bits is None:
-                raise _outside(2)
-            rows.append(bits)
-        return _column_words(rows, N)
-
-    return batch
-
-
 def _mapped_rows(encoder, N):
     """A batch encoder over arrays that calls ``encoder`` once per row."""
 
@@ -239,12 +219,7 @@ def is_recovering_set(G: GeneratorMatrix, i: int, R, witness=None):
     R outside [0, N), or i outside [0, n), raises ValueError."""
     if not 0 <= i < G.n:
         raise ValueError(f"targets message {i} outside [0, {G.n})")
-    if G.field.q == 2:
-        target = 1 << i
-    else:
-        target = [0] * G.n
-        target[i] = 1
-    return _recovery(G, target, R, witness)
+    return _recovery(G, _target(G, G.info_positions[i]), R, witness)
 
 
 def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
@@ -252,13 +227,20 @@ def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
     [0, N)."""
     if not 0 <= j < G.N:
         raise ValueError(f"targets position {j} outside [0, {G.N})")
-    return _recovery(G, G.masks[j] if G.field.q == 2 else G.column(j), R, witness)
+    return _recovery(G, _target(G, j), R, witness)
+
+
+def _target(G, j):
+    """Column j of G, over GF(2) its bitmask.  Message i's target is
+    column info_positions[i], its unit vector in a systematic
+    generator."""
+    return G.masks[j] if G.field.q == 2 else G.matrix[:, j]
 
 
 def _recovery(G, target, R, witness):
-    """``target`` is a column, over GF(2) its bitmask.  The range check
-    comes first: numpy and Python indexing would wrap a negative
-    position onto another coordinate."""
+    """``target`` is a `_target` column.  The range check comes first:
+    numpy and Python indexing would wrap a negative position onto another
+    coordinate."""
     N = G.N
     if R and not (0 <= min(R) and max(R) < N):
         bad = next(j for j in R if not 0 <= j < N)
@@ -297,7 +279,7 @@ def _checked_witness(G, target, R, witness):
 
 
 def _solve_recovery(G, target, R):
-    """``target`` is a column, over GF(2) its bitmask."""
+    """``target`` is a `_target` column."""
     cols_idx = sorted(R)
     if G.field.q == 2:
         masks = G.masks

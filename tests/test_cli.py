@@ -97,6 +97,85 @@ def test_certify_batch_jobs_match_serial(tmp_path, capsys):
     assert serial["seed"] == 5 and serial["total"] == 200
 
 
+def _no_extraction(*args, **kwargs):
+    raise AssertionError("the generator was extracted")
+
+
+@pytest.mark.parametrize("mode", ["pir", "batch"])
+@pytest.mark.parametrize("k", [0, -2])
+def test_certify_refuses_k_below_one_before_extraction(tmp_path, capsys, monkeypatch,
+                                                       mode, k):
+    monkeypatch.setattr(cli.verify, "extract_generator", _no_extraction)
+    for name, build in (("gf11", ["multiplicity", "--m", "2", "--d", "4", "--s", "2",
+                                  "--q", "11"]),
+                        ("r3k2", ["array", "--r", "3", "--k", "2"])):
+        desc = tmp_path / f"{name}.json"
+        assert run(["build", *build, "-o", str(desc)]) == 0
+        capsys.readouterr()
+        assert run(["certify", str(desc), "--mode", mode, "--k", str(k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--k must be >= 1, got {k}" in captured.err
+
+
+def test_certify_starts_no_more_workers_than_chunks_or_cpus(tmp_path, capsys,
+                                                             monkeypatch):
+    import multiprocessing
+
+    started = []
+
+    class InProcessPool:
+        # records the worker count and maps in this process: no worker starts
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    desc = tmp_path / "arr.json"
+    run(["build", "array", "--r", "3", "--p", "5", "--slopes", "0,1", "-o", str(desc)])
+    capsys.readouterr()
+    assert run(["certify", str(desc), "--mode", "pir"]) == 0
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # 15 symbols: 100 000 jobs split them into 15 chunks, on 4 CPUs
+    assert run(["certify", str(desc), "--mode", "pir", "--jobs", "100000"]) == 0
+    assert capsys.readouterr().out == serial
+    # 3 jobs split them into 3 chunks
+    assert run(["certify", str(desc), "--mode", "pir", "--jobs", "3"]) == 0
+    assert capsys.readouterr().out == serial
+    assert started == [4, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert run(["certify", str(desc), "--mode", "pir", "--jobs", "3"]) == 0
+    assert capsys.readouterr().out == serial
+    assert started == [4, 3]  # one CPU: the chunks run here
+
+
+def test_dense_generators_above_the_cap_are_refused_before_building(
+        tmp_path, capsys, monkeypatch):
+    # the systematic view of GF(65521) polynomials of degree < q on q
+    # points is 65521 x 65521, and the five-batch code at p = 997 is
+    # 994009 x 998995: neither may be built
+    monkeypatch.setattr(multiplicity, "systematic_view", _no_extraction)
+    monkeypatch.setattr(cli.verify, "_extract_words", _no_extraction)
+    monkeypatch.setattr(cli.verify, "_extract_array", _no_extraction)
+    assert run(["build", "multiplicity", "--m", "1", "--s", "1", "--d", "65520",
+                "--q", "65521"]) == 2
+    assert "65521 x 65521 generator exceeds the cap" in capsys.readouterr().err
+    desc = tmp_path / "five.json"
+    assert run(["build", "array", "--five-batch", "--p", "997", "-o", str(desc)]) == 0
+    capsys.readouterr()
+    assert run(["certify", str(desc), "--mode", "pir"]) == 2
+    assert "994009 x 998995 generator exceeds the cap" in capsys.readouterr().err
+
+
 def test_roundtrip_families(tmp_path, capsys):
     mult = tmp_path / "m.json"
     run(["build", "multiplicity", "--m", "2", "--d", "2", "--s", "2", "--q", "7",

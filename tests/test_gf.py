@@ -156,13 +156,6 @@ def test_coeffs_roundtrip():
         f.from_coeffs((3, 0))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 11, 25, 27])
-def test_vectorised_subtract_matches_field_sub(q):
-    f = Field.from_order(q)
-    a, b = (x.ravel() for x in gf.np.meshgrid(range(q), range(q)))
-    assert gf.subtract(f, a, b).tolist() == list(map(f.sub, a.tolist(), b.tolist()))
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 11, 25, 27, 64, 81])
 def test_vectorised_add_and_multiply_match_the_field(q):
     f = Field.from_order(q)

@@ -443,6 +443,49 @@ def test_a_witness_never_changes_a_verdict(data):
             assert check(G, target, R, w)[0] == plain
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_message_target_is_its_information_column(data):
+    # is_recovering_set(G, i, ...) checks column info_positions[i], the
+    # unit vector of message i in a systematic generator
+    fld = data.draw(st.sampled_from(FIELDS), label="field")
+    q = fld.q
+    n = data.draw(st.integers(1, 3), label="n")
+    N = data.draw(st.integers(n, n + 4), label="N")
+    element = st.integers(0, q - 1)
+    parity = [[data.draw(element) for _ in range(N - n)] for _ in range(n)]
+    order = data.draw(st.permutations(range(N)), label="column order")
+    rows = tuple(tuple(([int(r == c) for c in range(n)] + parity[r])[c] for c in order)
+                 for r in range(n))
+    G = GeneratorMatrix(field=fld, rows=rows,
+                        info_positions=tuple(order.index(c) for c in range(n)))
+    R = tuple(data.draw(st.lists(st.integers(0, N - 1), unique=True, max_size=N),
+                        label="R"))
+    i = data.draw(st.integers(0, n - 1), label="i")
+    j = G.info_positions[i]
+    plain = is_recovering_set(G, i, R)
+    assert plain == is_recovering_position(G, j, R)
+    assert plain[0] == functional_recovery_oracle(G, i, R)
+    witnesses = [data.draw(st.lists(st.integers(-1, q), min_size=max(0, len(R) - 1),
+                                    max_size=len(R) + 1), label="random witness"),
+                 [data.draw(element) for _ in R]]
+    if plain[0]:
+        witnesses.append([plain[1].get(p, 0) for p in R])
+    for w in witnesses:
+        assert is_recovering_set(G, i, R, w) == is_recovering_position(G, j, R, w)
+
+
+def test_extract_refuses_a_gf2_encoder_that_returns_bools():
+    # an encoder without a batch method takes the array path on every
+    # field, and that path takes ints only
+    def enc(m):
+        return [bool(m[0]), bool(m[1]), bool(m[0] ^ m[1])]
+    with pytest.raises(ValueError, match="outside"):
+        extract_generator(GF2, enc, 2, 3)
+    assert extract_generator(GF2, lambda m: list(map(int, enc(m))), 2, 3).rows == (
+        (1, 0, 1), (0, 1, 1))
+
+
 def test_a_set_that_does_not_recover_stays_refused():
     f8 = Field.from_order(8)
     params = MultCodeParams(field=f8, m=1, d=2, s=1)
