@@ -153,6 +153,9 @@ def cmd_certify(args) -> int:
     k = args.k if args.k is not None else runtime.k
     if k < 1:
         raise ValueError(f"--k must be >= 1, got {k}")
+    # refuse a generator above the cap before sampling requests, which can
+    # take seconds on such a code
+    linalg.check_generator_size(runtime.n, runtime.N)
     if args.mode == "pir":
         work = list(range(runtime.n))
         seed, sampled = None, False
@@ -162,12 +165,13 @@ def cmd_certify(args) -> int:
         reqs, seed, sampled = verify.enumerate_requests(
             runtime.batch_targets, k, limit=args.limit, seed=args.seed)
         work = list(reqs)
-    chunks = _split(work, max(1, args.jobs))
-    workers = min(args.jobs, len(chunks), os.cpu_count() or 1)
-    if workers > 1:
+    # every chunk extracts the generator: one chunk per worker, and no
+    # more workers than CPUs
+    chunks = _split(work, min(args.jobs, os.cpu_count() or 1))
+    if len(chunks) > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(len(chunks)) as pool:
             results = pool.map(_certify_chunk,
                                [(desc, args.mode, k, c) for c in chunks])
     else:

@@ -16,6 +16,11 @@ The k readers of a symbol form its `Recovery`, which reads all k sets
 of an operator code in one gather and one stacked product through
 `pir.read`, the kernel that also serves the batch path's single plans.
 
+Each family and transform builds its code once per parameters (a
+transform once per base code), so an equal descriptor names the same
+`LinearCode` in every command of a process, and a code builds each
+symbol's `Recovery` on first use and keeps it.
+
 A descriptor arrives from outside the program, so `build_runtime` checks
 each field's type and the code's length before it builds anything whose
 size scales with them.
@@ -26,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 
 from . import array_code, batch_mult, gf, linalg, multiplicity, pir
 from .gf import CapacityError, Field, check_field_size, np
@@ -73,9 +78,8 @@ class Recovery:
     they read and ``stack`` the (k, rows, width) array of their operator
     matrices, zero-padded where readers differ in shape (a zero column
     adds nothing, a zero row always vanishes).  Both are built on first
-    use and kept, for every code of the same parameters shares its
-    symbols' recoveries; the stack is also shared by every symbol whose
-    readers have the same operators."""
+    use and kept with the code's recovery; the stack is also shared by
+    every symbol whose readers have the same operators."""
 
     readers: tuple
 
@@ -146,9 +150,9 @@ class LinearCode:
 
     ``encode`` maps n symbols to the N of a codeword, and ``encode.batch``
     a batch of messages to theirs (see `Encoder`); ``recovery(i)`` is the
-    `Recovery` of information symbol i, and ``reader(i, s)`` its reader
-    through set s.  ``details()`` gives the profile fields of the family
-    or transform.  The families plan batch requests: ``batch_planner(k)``
+    `Recovery` of information symbol i, built on first use and kept by the
+    code, and ``reader(i, s)`` its reader through set s.  ``details()``
+    gives the profile fields of the family or transform.  The families plan batch requests: ``batch_planner(k)``
     maps a multiset of k target ids, out of ``batch_targets``, to
     disjoint readers; reader row r recovers the r-th position
     ``positions_of`` gives for its target, or, when that is None, its one
@@ -167,6 +171,10 @@ class LinearCode:
     batch_planner: Callable | None = None
     batch_targets: int = 0
     positions_of: Callable | None = None
+
+    def __post_init__(self):
+        # every read asks for its symbol's recovery: build each one once
+        object.__setattr__(self, "recovery", cache(self.recovery))
 
     def reader(self, i, s) -> Reader:
         return self.recovery(i).readers[s]
@@ -214,6 +222,7 @@ class LinearCode:
                 "rate": str(Fraction(self.n, self.N)), **self.details()}
 
 
+@lru_cache(maxsize=None)
 def from_multiplicity(params) -> LinearCode:
     """The systematic multiplicity code: a batch of messages encodes in
     one product with the systematic generator, and symbol i is read
@@ -234,6 +243,13 @@ def from_multiplicity(params) -> LinearCode:
 
         return plan
 
+    def recovery(i):
+        point, component = divmod(view.info_positions[i], width)
+        return Recovery(tuple(
+            Reader(_plan_positions(plan),
+                   _component_operator(pir.recovery_operator(plan), component))
+            for plan in pir.pir_recovery_plans(params, points[point])))
+
     def details():
         prof = multiplicity.code_profile(params)
         return {"symbols": prof["N"], "symbol_width": width,
@@ -245,37 +261,8 @@ def from_multiplicity(params) -> LinearCode:
         params.k_pir, view.info_positions,
         Encoder(params.field, params.base_dim,
                 lambda messages: gf.matmul(params.field, messages, generator)),
-        _memoised(partial(_mult_recovery, params)), details,
-        batch_planner, params.num_points,
+        recovery, details, batch_planner, params.num_points,
         lambda t: range(t * width, (t + 1) * width))
-
-
-def _memoised(read):
-    """``read``, kept by the instance: a roundtrip asks for every symbol's
-    recovery, and a dict lookup is cheaper than the shared cache's hashing
-    of the code parameters."""
-    got = {}  # information symbol -> its recovery
-
-    def recovery(i):
-        rec = got.get(i)
-        if rec is None:
-            rec = got[i] = read(i)
-        return rec
-
-    return recovery
-
-
-@lru_cache(maxsize=4096)
-def _mult_recovery(params, i) -> Recovery:
-    # shared by every instance, as `_array_recovery` is: every command
-    # builds a new code
-    point, component = divmod(multiplicity.systematic_view(params).info_positions[i],
-                              params.symbol_width)
-    return Recovery(tuple(
-        Reader(_plan_positions(plan),
-               _component_operator(pir.recovery_operator(plan), component))
-        for plan in pir.pir_recovery_plans(params,
-                                           multiplicity.code_points(params)[point])))
 
 
 def _plan_positions(plan) -> tuple:
@@ -294,9 +281,13 @@ def _component_operator(operator, component):
         operator.field, 1, m[[component, *range(operator.width, len(m))]])
 
 
+@lru_cache(maxsize=None)
 def from_array(params) -> LinearCode:
     """The systematic array code: a batch of messages encodes on column
     words, and bit i is the XOR over each of its diagonal sets."""
+    # a batch certify wraps every planned set; most are the few sets of
+    # each cell, and building a frozen reader costs more than the lookup
+    xor_reader = cache(partial(Reader, operator=None))
 
     def batch_planner(k):
         if params.global_parity and params.slopes == (0, 1, 2, 3, 4):
@@ -308,35 +299,23 @@ def from_array(params) -> LinearCode:
                 raise ValueError(f"at most {params.k} parallel requests")
             planner = array_code.plan_array_batch
         return lambda request: [
-            _xor_reader(rec)
+            xor_reader(rec)
             for rec in planner(params, [divmod(t, params.cols) for t in request])]
 
     gf2 = Field(2)
     return LinearCode(
         "array", gf2, params.dim, params.length, params.k, range(params.dim),
         Encoder(gf2, params.dim, partial(array_code.encode_columns, params)),
-        _memoised(lambda i: _array_recovery(params, divmod(i, params.cols))),
+        lambda i: Recovery(tuple(
+            xor_reader(rec)
+            for rec in array_code.pir_sets_for_bit(params, divmod(i, params.cols)))),
         lambda: {"rows": params.rows, "cols": params.cols,
                  "slopes": list(params.slopes),
                  "global_parity": params.global_parity},
         batch_planner, params.dim)
 
 
-@lru_cache(maxsize=4096)
-def _xor_reader(rec) -> Reader:
-    # a batch certify wraps every planned set; most are the few sets of
-    # each cell, and building a frozen reader costs more than the lookup
-    return Reader(rec, None)
-
-
 @lru_cache(maxsize=None)
-def _array_recovery(params, cell) -> Recovery:
-    # shared by every instance, as the sets are: a roundtrip builds a new
-    # code and reads every bit through every set
-    return Recovery(tuple(Reader(rec, None)
-                          for rec in array_code.pir_sets_for_bit(params, cell)))
-
-
 def expanded_code(base: LinearCode) -> LinearCode:
     """The bit-level code of a code over GF(2^e): every coordinate becomes
     its e bits, lowest power first, and every reader the GF(2) form of
@@ -368,7 +347,10 @@ def expanded_code(base: LinearCode) -> LinearCode:
 
     def recovery(i):
         base_i, bit = divmod(i, e)
-        return _expanded_recovery(base.recovery(base_i), bit)
+        return Recovery(tuple(
+            Reader(tuple(j * e + b for j in r.positions for b in range(e)),
+                   _bit_operator(r.operator, bit))
+            for r in base.recovery(base_i).readers))
 
     gf2 = Field(2)
     return LinearCode(
@@ -376,17 +358,6 @@ def expanded_code(base: LinearCode) -> LinearCode:
         tuple(p * e + b for p in base.info_positions for b in range(e)),
         Encoder(gf2, n, batch), recovery,
         lambda: {"bits_per_symbol": e, "base": base.profile()})
-
-
-@lru_cache(maxsize=4096)
-def _expanded_recovery(base, bit) -> Recovery:
-    # shared by every instance whose base shares its recoveries, as the
-    # multiplicity codes do: every command builds a new code
-    e = base.readers[0].operator.field.e
-    return Recovery(tuple(
-        Reader(tuple(j * e + b for j in r.positions for b in range(e)),
-               _bit_operator(r.operator, bit))
-        for r in base.readers))
 
 
 @lru_cache(maxsize=4096)
@@ -405,6 +376,7 @@ def _bit_operator(operator, bit):
     return pir.RecoveryOperator(Field(2), 1, rows[[bit, *range(e, len(rows))]])
 
 
+@lru_cache(maxsize=None)
 def replicated_code(base: LinearCode, copies: int) -> LinearCode:
     """One message served through ``copies`` full codeword replicas; set
     c*k + s of a symbol is the base set s inside replica c."""
@@ -413,25 +385,20 @@ def replicated_code(base: LinearCode, copies: int) -> LinearCode:
 
     N = _check_length(base.N * copies)
 
+    def recovery(i):
+        readers = base.recovery(i).readers  # replica 0 is the base
+        return Recovery(readers + tuple(
+            Reader(tuple(map((c * base.N).__add__, r.positions)), r.operator)
+            for c in range(1, copies) for r in readers))
+
     def batch(messages):
         out = base.encode.batch(messages)
         return out * copies if base.field.q == 2 else np.tile(out, copies)
 
     return LinearCode(
         "replication", base.field, base.n, N, base.k * copies, base.info_positions,
-        Encoder(base.field, base.n, batch),
-        lambda i: _replicated_recovery(base.recovery(i), copies, base.N),
+        Encoder(base.field, base.n, batch), recovery,
         lambda: {"copies": copies, "base": base.profile()})
-
-
-@lru_cache(maxsize=4096)
-def _replicated_recovery(base, copies, N) -> Recovery:
-    # shared by every instance whose base shares its recoveries: every
-    # command builds a new code, and shifting a base reader into its
-    # replica costs more than reading through it.  Replica 0 is the base.
-    return Recovery(base.readers + tuple(
-        Reader(tuple(map((c * N).__add__, r.positions)), r.operator)
-        for c in range(1, copies) for r in base.readers))
 
 
 def _check_length(N: int) -> int:

@@ -138,6 +138,13 @@ def test_certify_starts_no_more_workers_than_chunks_or_cpus(tmp_path, capsys,
         def map(self, fn, items):
             return list(map(fn, items))
 
+    extract = cli.verify.extract_generator
+    extractions = []
+
+    def counted_extract(*args, **kwargs):
+        extractions.append(1)
+        return extract(*args, **kwargs)
+
     desc = tmp_path / "arr.json"
     run(["build", "array", "--r", "3", "--p", "5", "--slopes", "0,1", "-o", str(desc)])
     capsys.readouterr()
@@ -145,17 +152,22 @@ def test_certify_starts_no_more_workers_than_chunks_or_cpus(tmp_path, capsys,
     serial = capsys.readouterr().out
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    # 15 symbols: 100 000 jobs split them into 15 chunks, on 4 CPUs
+    monkeypatch.setattr(cli.verify, "extract_generator", counted_extract)
+    # 15 symbols: 100 000 jobs on 4 CPUs split them into 4 chunks, each
+    # extracting the generator once
     assert run(["certify", str(desc), "--mode", "pir", "--jobs", "100000"]) == 0
     assert capsys.readouterr().out == serial
+    assert len(extractions) == 4
     # 3 jobs split them into 3 chunks
     assert run(["certify", str(desc), "--mode", "pir", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
     assert started == [4, 3]
+    assert len(extractions) == 7
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run(["certify", str(desc), "--mode", "pir", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
-    assert started == [4, 3]  # one CPU: the chunks run here
+    assert started == [4, 3]  # one CPU: the one chunk runs here
+    assert len(extractions) == 8
 
 
 def test_dense_generators_above_the_cap_are_refused_before_building(
@@ -173,6 +185,14 @@ def test_dense_generators_above_the_cap_are_refused_before_building(
     assert run(["build", "array", "--five-batch", "--p", "997", "-o", str(desc)]) == 0
     capsys.readouterr()
     assert run(["certify", str(desc), "--mode", "pir"]) == 2
+    assert "994009 x 998995 generator exceeds the cap" in capsys.readouterr().err
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("requests were sampled")
+
+    # batch mode refuses it before sampling any request
+    monkeypatch.setattr(cli.verify, "enumerate_requests", no_sampling)
+    assert run(["certify", str(desc), "--mode", "batch"]) == 2
     assert "994009 x 998995 generator exceeds the cap" in capsys.readouterr().err
 
 

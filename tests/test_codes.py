@@ -1,5 +1,6 @@
 """Every `LinearCode` reader against the construction it stands for."""
 
+import json
 import random
 
 import pytest
@@ -135,6 +136,43 @@ def test_recover_all_pads_readers_of_different_shapes():
         assert [_outcome(code.recover_info, word, 0, s) for s in range(2)] == per_set
         assert _outcome(code.recover_all, word, 0) == (
             "decode failure" if "decode failure" in per_set else per_set)
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_equal_descriptors_build_one_code_that_keeps_its_recoveries(name):
+    desc = CASES[name]
+    code = codes.build_runtime(desc)
+    again = codes.build_runtime(json.loads(json.dumps(desc)))
+    assert again is code
+    for i in (0, code.n - 1):
+        assert again.recovery(i) is code.recovery(i)
+
+
+def test_replica_zero_reads_through_the_base_readers():
+    desc = CASES["expanded-replicated-gf8"]
+    code, base = codes.build_runtime(desc), codes.build_runtime(desc["base"])
+    for i in (0, code.n - 1):
+        readers, base_readers = code.recovery(i).readers, base.recovery(i).readers
+        assert len(readers) == 2 * len(base_readers)
+        assert all(r is b for r, b in zip(readers, base_readers))
+
+
+def test_a_code_builds_each_recovery_once():
+    fld = Field(7)
+    rec = codes.Recovery((codes.Reader((0, 1), pir.RecoveryOperator(fld, 1, [[1, 1]])),))
+    built = []
+
+    def recovery(i):
+        built.append(i)
+        return rec
+
+    code = codes.LinearCode("test", fld, 2, 3, 1, (0, 1), None, recovery, dict)
+    for _ in range(3):
+        for i in range(2):
+            assert code.recovery(i) is rec
+            assert code.recover_all([1, 2, 3], i) == [3]
+            assert code.recover_info([1, 2, 3], i, 0) == 3
+    assert built == [0, 1]
 
 
 def test_readers_read_their_recovering_sets():
