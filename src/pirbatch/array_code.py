@@ -173,14 +173,20 @@ def pir_sets_for_bit(params: ArrayCodeParams, cell) -> list:
     return list(_pir_sets_cached(params, (i, j)))
 
 
-@lru_cache(maxsize=None)
-def _pir_sets_cached(params: ArrayCodeParams, cell) -> tuple:
-    # checked on every cache miss; a ValueError is not cached, so invalid
-    # params raise on every call
+def check_disjoint(params: ArrayCodeParams) -> None:
+    """Refuse params whose diagonal sets of different slopes may meet:
+    with two or more slopes, p must be prime and r <= p."""
     if params.k >= 2 and not is_prime(params.cols):
         raise ValueError("disjointness across slopes needs a prime column count")
     if params.k >= 2 and params.rows > params.cols:
         raise ValueError("disjointness across slopes needs rows <= cols")
+
+
+@lru_cache(maxsize=None)
+def _pir_sets_cached(params: ArrayCodeParams, cell) -> tuple:
+    # checked on every cache miss; a ValueError is not cached, so invalid
+    # params raise on every call
+    check_disjoint(params)
     i, j = cell
     p = params.cols
     out = []

@@ -133,10 +133,8 @@ def _load_descriptor(path) -> dict:
 
 
 def _certify_chunk(payload):
-    desc, mode, k, chunk = payload
+    desc, G, mode, k, chunk = payload
     runtime = build_runtime(desc)
-    G = verify.extract_generator(runtime.field, runtime.encode,
-                                 runtime.n, runtime.N)
     if mode == "pir":
         claims = {i: [runtime.reader(i, s) for s in range(runtime.k)]
                   for i in chunk}
@@ -153,6 +151,8 @@ def cmd_certify(args) -> int:
     k = args.k if args.k is not None else runtime.k
     if k < 1:
         raise ValueError(f"--k must be >= 1, got {k}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     # refuse a generator above the cap before sampling requests, which can
     # take seconds on such a code
     linalg.check_generator_size(runtime.n, runtime.N)
@@ -165,17 +165,19 @@ def cmd_certify(args) -> int:
         reqs, seed, sampled = verify.enumerate_requests(
             runtime.batch_targets, k, limit=args.limit, seed=args.seed)
         work = list(reqs)
-    # every chunk extracts the generator: one chunk per worker, and no
-    # more workers than CPUs
+    G = verify.extract_generator(runtime.field, runtime.encode,
+                                 runtime.n, runtime.N)
+    # one chunk per worker, and no more workers than CPUs; every chunk
+    # checks its claims against the one generator
     chunks = _split(work, min(args.jobs, os.cpu_count() or 1))
+    payloads = [(desc, G, args.mode, k, c) for c in chunks]
     if len(chunks) > 1:
         import multiprocessing
 
         with multiprocessing.Pool(len(chunks)) as pool:
-            results = pool.map(_certify_chunk,
-                               [(desc, args.mode, k, c) for c in chunks])
+            results = pool.map(_certify_chunk, payloads)
     else:
-        results = [_certify_chunk((desc, args.mode, k, c)) for c in chunks]
+        results = [_certify_chunk(payloads[0])]
     report = verify.Report(kind=args.mode, seed=seed, sampled=sampled)
     offset = 0
     for (total, passed, failures), chunk in zip(results, chunks):

@@ -452,6 +452,7 @@ def build_runtime(descriptor: dict) -> LinearCode:
     if family == "array":
         params = array_code.params_from_descriptor(descriptor)
         _check_length(params.length)
+        array_code.check_disjoint(params)
         return from_array(params)
     base = build_runtime(descriptor["base"])
     if family == "binary-expansion":

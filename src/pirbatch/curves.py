@@ -133,17 +133,22 @@ def piecewise(points, x):
 # figure series and their CSV renderings
 # ---------------------------------------------------------------------------
 
+# the points of a step of 1/10000, the finest grid accepted: the binary
+# PIR series already takes seconds on it and the time grows with the points
+MAX_GRID_POINTS = 20001
+
+
 def epsilon_grid(step) -> list:
-    """0, step, 2*step, ... up to and including 2 when step divides it."""
+    """0, step, 2*step, ... up to and including 2 when step divides it.
+    A step that gives more than `MAX_GRID_POINTS` points raises
+    ValueError before any point is made."""
     step = Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    grid = []
-    x = Fraction(0)
-    while x <= 2:
-        grid.append(x)
-        x += step
-    return grid
+    points = 2 // step + 1
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"the step gives more than {MAX_GRID_POINTS} grid points")
+    return [i * step for i in range(points)]
 
 
 def pir_delta_curves(eps_grid, s_values=None, variant="qary") -> list:

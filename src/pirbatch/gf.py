@@ -379,20 +379,34 @@ def matmul(field: Field, a, b) -> np.ndarray:
     """a @ b over the field for int arrays of elements, with numpy's shape
     rules: each of a and b a vector, a matrix or a stack of matrices
     broadcast over its leading axes; on lists it equals `linalg.matvec`
-    and `linalg.matmul`.
+    and `linalg.matmul`.  Operands are field elements, ints in [0, p);
+    the result is an int64 array of elements.
 
-    Prime fields take an int64 product mod p.  Extension fields form the
-    entry products through `multiply` and add them up: all at once when
-    the products number at most `_BLOCK`, which keeps small products such
-    as witness checks to a few numpy calls, else one inner index at a
-    time into the output, so no temporary outgrows the output.
+    Prime fields multiply in floating point, which numpy hands to BLAS:
+    every partial sum is an integer of at most bound = (p - 1)^2 * inner,
+    for the inner (contracted) dimension, so the product is exact in
+    float32 while the bound is below 2^24 and in float64 while it is
+    below 2^53, which every inner dimension up to the codeword length cap
+    meets; only a larger bound takes an int64 product.  The result is
+    reduced mod p after its conversion to int64, where `%` is several
+    times faster than on floats.
+
+    Extension fields form the entry products through `multiply` and add
+    them up: all at once when the products number at most `_BLOCK`, which
+    keeps small products such as witness checks to a few numpy calls,
+    else one inner index at a time into the output, so no temporary
+    outgrows the output.
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
-        out = a @ b
+        a = np.asarray(a)
+        bound = (field.p - 1) ** 2 * a.shape[-1]
+        dt = (np.float32 if bound < 1 << 24 else
+              np.float64 if bound < 1 << 53 else np.int64)
+        out = (np.asarray(a, dtype=dt) @ np.asarray(b, dtype=dt)).astype(np.int64)
         out %= field.p
         return out
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
     # a vector is a one-row (a) or one-column (b) matrix, dropped at the end
     aa = a[None] if a.ndim == 1 else a
     bb = b[:, None] if b.ndim == 1 else b

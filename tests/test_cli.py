@@ -118,6 +118,19 @@ def test_certify_refuses_k_below_one_before_extraction(tmp_path, capsys, monkeyp
         assert f"--k must be >= 1, got {k}" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_certify_refuses_jobs_below_one_before_extraction(tmp_path, capsys, monkeypatch,
+                                                          jobs):
+    monkeypatch.setattr(cli.verify, "extract_generator", _no_extraction)
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(ARR))
+    for mode in ("pir", "batch"):
+        assert run(["certify", str(code), "--mode", mode, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--jobs must be >= 1, got {jobs}" in captured.err
+
+
 def test_certify_starts_no_more_workers_than_chunks_or_cpus(tmp_path, capsys,
                                                              monkeypatch):
     import multiprocessing
@@ -153,21 +166,21 @@ def test_certify_starts_no_more_workers_than_chunks_or_cpus(tmp_path, capsys,
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(cli.verify, "extract_generator", counted_extract)
-    # 15 symbols: 100 000 jobs on 4 CPUs split them into 4 chunks, each
-    # extracting the generator once
+    # 15 symbols: 100 000 jobs on 4 CPUs split them into 4 chunks, which
+    # share the one generator extracted before they start
     assert run(["certify", str(desc), "--mode", "pir", "--jobs", "100000"]) == 0
     assert capsys.readouterr().out == serial
-    assert len(extractions) == 4
+    assert len(extractions) == 1
     # 3 jobs split them into 3 chunks
     assert run(["certify", str(desc), "--mode", "pir", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
     assert started == [4, 3]
-    assert len(extractions) == 7
+    assert len(extractions) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert run(["certify", str(desc), "--mode", "pir", "--jobs", "3"]) == 0
     assert capsys.readouterr().out == serial
     assert started == [4, 3]  # one CPU: the one chunk runs here
-    assert len(extractions) == 8
+    assert len(extractions) == 3
 
 
 def test_dense_generators_above_the_cap_are_refused_before_building(
@@ -411,6 +424,45 @@ def test_transform_descriptors():
     with pytest.raises(ValueError, match="characteristic 2"):
         binary_expand({"family": "multiplicity", "m": 1, "d": 1, "s": 1,
                        "q": 9, "modulus": [1, 0, 1]})
+
+
+@pytest.mark.parametrize("build", [["--r", "3", "--p", "4", "--slopes", "0,1"],
+                                   ["--r", "7", "--p", "5", "--slopes", "0,1"]])
+def test_array_descriptors_without_disjoint_sets_exit_2(build, tmp_path, capsys):
+    # two or more slopes need a prime column count and rows <= cols; the
+    # build refuses such a code, and so does every command on a
+    # descriptor written by hand
+    desc = tmp_path / "arr.json"
+    assert run(["build", "array", *build, "-o", str(desc)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not desc.exists()
+    r, p = int(build[1]), int(build[3])
+    desc.write_text(json.dumps({"family": "array", "r": r, "p": p, "S": [0, 1]}))
+    for argv in (["roundtrip", str(desc)], ["certify", str(desc), "--mode", "pir"],
+                 ["certify", str(desc), "--mode", "batch"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "disjointness" in captured.err
+    # one slope needs neither
+    assert run(["build", "array", "--r", str(r), "--p", str(p), "--slopes", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["k"] == 1
+
+
+def test_curves_refuse_a_step_above_the_point_cap():
+    # in a child with a timeout: a grid of 2e9 points would never finish
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for which in ("batch", "pir-binary"):
+        done = subprocess.run(
+            [sys.executable, "-m", "pirbatch.cli", "curves", "--which", which,
+             "--step", "1e-9"], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2
+        assert done.stdout == "" and "grid points" in done.stderr
+    assert len(curves.epsilon_grid("1e-4")) == curves.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="grid points"):
+        curves.epsilon_grid(Fraction(2, curves.MAX_GRID_POINTS))
+    assert curves.epsilon_grid(Fraction(1, 4)) == [Fraction(i, 4) for i in range(9)]
+    assert curves.epsilon_grid("0.3")[-1] == Fraction(9, 5)
 
 
 def test_curves_deterministic_and_exact(tmp_path, capsys):

@@ -1,6 +1,10 @@
-import pytest
+import itertools
 
-from pirbatch import gf
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pirbatch import gf, linalg
 from pirbatch.gf import CapacityError, Field, is_prime, smallest_prime_above
 
 PRIME_POWERS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
@@ -162,3 +166,81 @@ def test_vectorised_add_and_multiply_match_the_field(q):
     a, b = (x.ravel() for x in gf.np.meshgrid(range(q), range(q)))
     assert gf.add(f, a, b).tolist() == list(map(f.add, a.tolist(), b.tolist()))
     assert gf.multiply(f, a, b).tolist() == list(map(f.mul, a.tolist(), b.tolist()))
+
+
+def _reference(fld, a, b):
+    """a @ b through the pure-Python `linalg.matmul` and `matvec`, with
+    numpy's shape rules for vectors and stacks of matrices."""
+    if isinstance(a[0], list) and isinstance(a[0][0], list):  # a stack
+        return [_reference(fld, x, y) for x, y in zip(a, b)]
+    if not isinstance(a[0], list):
+        return _reference(fld, [a], b)[0]
+    if not isinstance(b[0], list):
+        return linalg.matvec(fld, a, b)
+    return linalg.matmul(fld, a, b)
+
+
+def _presented(fld, x, how):
+    """x as a caller may pass it: a list, an int64 array, the read-only
+    narrow array a code keeps, or a transposed view of a stored array."""
+    if how == "list":
+        return x
+    if how == "int64":
+        return gf.np.array(x)
+    if how == "narrow":
+        return gf.narrow(fld, x)
+    # a transposed view of a contiguous copy of the transposed entries
+    x = gf.narrow(fld, x)
+    return x.swapaxes(-1, -2).copy().swapaxes(-1, -2) if x.ndim > 1 else x
+
+
+@st.composite
+def _products(draw):
+    p = draw(st.sampled_from([2, 3, 11, 263]))
+    # entries forced to p - 1 reach the bound (p - 1)^2 * inner
+    entries = st.just(p - 1) if draw(st.booleans()) else st.integers(0, p - 1)
+    rows, inner, cols = (draw(st.integers(1, 6)) for _ in range(3))
+    kind = draw(st.sampled_from(["matrix", "vector-matrix", "matrix-vector",
+                                 "stack"]))
+
+    def block(shape):
+        if not shape:
+            return draw(entries)
+        return [block(shape[1:]) for _ in range(shape[0])]
+
+    stack = (draw(st.integers(1, 4)),) if kind == "stack" else ()
+    a = block(stack + ((inner,) if kind == "vector-matrix" else (rows, inner)))
+    b = block(stack + ((inner,) if kind == "matrix-vector" else (inner, cols)))
+    return Field(p), a, b
+
+
+PRESENTATIONS = ["list", "int64", "narrow", "transposed"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_products(), st.sampled_from(PRESENTATIONS), st.sampled_from(PRESENTATIONS))
+def test_prime_field_matmul_is_exact(product, how_a, how_b):
+    fld, a, b = product
+    out = gf.matmul(fld, _presented(fld, a, how_a), _presented(fld, b, how_b))
+    assert out.dtype == gf.np.int64
+    assert out.tolist() == _reference(fld, a, b)
+
+
+@pytest.mark.parametrize("p, inner", [(4093, 1), (4093, 2), (4093, 3),
+                                      (65521, 1), (65521, 2), (65521, 5)])
+def test_prime_field_matmul_is_exact_at_the_float_edges(p, inner):
+    # (p - 1)^2 * inner: 4093 with inner 1 is just below 2^24, so float32;
+    # inner 2 is above it and 65521 is above it from inner 1, so float64.
+    # Every row of large entries meets every column, and some of those
+    # sums are odd and above 2^24, which float32 would round.
+    fld = Field(p)
+    a = [list(r) for r in itertools.product([p - 1, p - 2, p - 3, 1], repeat=inner)]
+    b = [list(c) for c in zip(*a)]
+    want = [[sum(x * y for x, y in zip(r, c)) % p for c in a] for r in a]
+    out = gf.matmul(fld, gf.narrow(fld, a), gf.narrow(fld, b))
+    assert out.dtype == gf.np.int64
+    assert out.tolist() == want
+    # a stack of the rows against one column each, as a read multiplies
+    column = gf.np.array(b)[None, :, :1]
+    assert gf.matmul(fld, gf.np.array(a)[:, None, :], column).ravel().tolist() \
+        == [row[0] for row in want]
