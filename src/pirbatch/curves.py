@@ -133,9 +133,10 @@ def piecewise(points, x):
 # figure series and their CSV renderings
 # ---------------------------------------------------------------------------
 
-# the points of a step of 1/10000, the finest grid accepted: the binary
-# PIR series already takes seconds on it and the time grows with the points
-MAX_GRID_POINTS = 20001
+# the points of a step of 1/100000, the finest grid accepted for every
+# series: the slowest, binary PIR, takes about three minutes on it on a
+# 2-vCPU host, and the time grows with the points
+MAX_GRID_POINTS = 200001
 
 
 def epsilon_grid(step) -> list:

@@ -458,7 +458,7 @@ def test_curves_refuse_a_step_above_the_point_cap():
             capture_output=True, text=True, timeout=60)
         assert done.returncode == 2
         assert done.stdout == "" and "grid points" in done.stderr
-    assert len(curves.epsilon_grid("1e-4")) == curves.MAX_GRID_POINTS
+    assert len(curves.epsilon_grid("1e-5")) == curves.MAX_GRID_POINTS
     with pytest.raises(ValueError, match="grid points"):
         curves.epsilon_grid(Fraction(2, curves.MAX_GRID_POINTS))
     assert curves.epsilon_grid(Fraction(1, 4)) == [Fraction(i, 4) for i in range(9)]

@@ -244,3 +244,18 @@ def test_prime_field_matmul_is_exact_at_the_float_edges(p, inner):
     column = gf.np.array(b)[None, :, :1]
     assert gf.matmul(fld, gf.np.array(a)[:, None, :], column).ravel().tolist() \
         == [row[0] for row in want]
+
+
+@pytest.mark.parametrize("inner", [(1 << 21) - 1, (1 << 21) + (1 << 11) + 1])
+def test_prime_field_matmul_is_exact_on_both_sides_of_the_float64_bound(inner):
+    # p - 1 everywhere but a last 1: the sum (inner - 1) * (p - 1)^2 + 1 is
+    # below 2^53 for the first inner, where the product runs in float64,
+    # and above it, and odd, for the second, which float64 cannot hold, so
+    # the product must run in int64
+    p = 65521
+    fld = Field(p)
+    a = gf.np.full(inner, p - 1, dtype=gf.np.uint16)
+    a[-1] = 1
+    out = gf.matmul(fld, a, a[:, None])
+    assert out.dtype == gf.np.int64
+    assert out.tolist() == [((inner - 1) * (p - 1) ** 2 + 1) % p]
