@@ -1,7 +1,8 @@
 """Print the exit code and stdout of a fixed set of pirbatch commands, so
 that two checkouts can be compared byte for byte.
 
-Usage, from the root of each checkout, into an empty working directory:
+Usage, from the root of each checkout, into an empty working directory,
+which is made if it does not exist:
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py WORKDIR > snapshot.txt
 
@@ -56,6 +57,7 @@ def run(argv):
 
 
 def main(workdir):
+    os.makedirs(workdir, exist_ok=True)
     for name, build in CODES.items():
         desc = os.path.join(workdir, f"{name}.json")
         cw = os.path.join(workdir, f"{name}-cw.json")

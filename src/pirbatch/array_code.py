@@ -283,22 +283,17 @@ def plan_array_batch(params: ArrayCodeParams, request) -> list:
     if len(request) > params.k:
         raise ValueError(f"at most {params.k} requests, got {len(request)}")
     used = set()
-    consumed = {}  # cell -> set indices taken by earlier repeats
     chosen = []
     for cell in request:
-        sets = pir_sets_for_bit(params, cell)
-        pick = None
-        for idx, cand in enumerate(sets):
-            if idx in consumed.get(cell, set()):
-                continue
-            if not (cand & used):
-                pick = idx
+        # every set holds its parity coordinate, so one an earlier repeat
+        # of the cell took meets ``used``: repeats take distinct sets
+        for pick in pir_sets_for_bit(params, cell):
+            if not pick & used:
                 break
-        if pick is None:
+        else:
             raise BatchPlanningError(request)
-        consumed.setdefault(cell, set()).add(pick)
-        used.update(sets[pick])
-        chosen.append(sets[pick])
+        used.update(pick)
+        chosen.append(pick)
     return chosen
 
 

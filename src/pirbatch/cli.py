@@ -158,11 +158,11 @@ def cmd_certify(args) -> int:
     linalg.check_generator_size(runtime.n, runtime.N)
     if args.mode == "pir":
         work = list(range(runtime.n))
-        seed, sampled = None, False
+        seed = None
     else:
         if runtime.batch_planner is None:
             raise ValueError(f"{runtime.family} has no batch planner")
-        reqs, seed, sampled = verify.enumerate_requests(
+        reqs, seed, _ = verify.enumerate_requests(
             runtime.batch_targets, k, limit=args.limit, seed=args.seed)
         work = list(reqs)
     G = verify.extract_generator(runtime.field, runtime.encode,
@@ -178,7 +178,7 @@ def cmd_certify(args) -> int:
             results = pool.map(_certify_chunk, payloads)
     else:
         results = [_certify_chunk(payloads[0])]
-    report = verify.Report(kind=args.mode, seed=seed, sampled=sampled)
+    report = verify.Report(kind=args.mode, seed=seed)
     offset = 0
     for (total, passed, failures), chunk in zip(results, chunks):
         report.total += total

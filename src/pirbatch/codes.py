@@ -152,11 +152,13 @@ class LinearCode:
     a batch of messages to theirs (see `Encoder`); ``recovery(i)`` is the
     `Recovery` of information symbol i, built on first use and kept by the
     code, and ``reader(i, s)`` its reader through set s.  ``details()``
-    gives the profile fields of the family or transform.  The families plan batch requests: ``batch_planner(k)``
-    maps a multiset of k target ids, out of ``batch_targets``, to
-    disjoint readers; reader row r recovers the r-th position
-    ``positions_of`` gives for its target, or, when that is None, its one
-    row recovers the message symbol the target id names.
+    gives the profile fields of the family or transform.
+
+    The families plan batch requests: ``batch_planner(k)`` maps a
+    multiset of k target ids, out of ``batch_targets``, to disjoint
+    readers; reader row r recovers the r-th position ``positions_of``
+    gives for its target, or, when that is None, its one row recovers the
+    message symbol the target id names.
     """
 
     family: str
@@ -330,20 +332,11 @@ def expanded_code(base: LinearCode) -> LinearCode:
 
     def batch(words):
         t = max(map(int.bit_length, words), default=0)
-        if not t:  # no message bit set: the zero codewords
-            return [0] * N
-        width = (t + 7) // 8
-        raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words),
-                            dtype=np.uint8).reshape(n, width)
-        bits = np.unpackbits(raw, axis=1, count=t, bitorder="little")  # (n, t)
+        bits = linalg.unpack_words(words, t)  # (n, t)
         messages = (bits.T.reshape(t, base.n, e).astype(np.int64) << place).sum(axis=2)
         symbols = base.encode.batch(messages).T.astype(np.uint16)  # (base.N, t)
         out = (symbols[:, None, :] >> place[:, None] & 1).astype(np.uint8)
-        raw = np.packbits(out.reshape(N, t), axis=1, bitorder="little").tobytes()
-        if width == 1:  # a word per byte, as for a single message
-            return list(raw)
-        return [int.from_bytes(raw[j:j + width], "little")
-                for j in range(0, N * width, width)]
+        return linalg.pack_words(out.reshape(N, t))
 
     def recovery(i):
         base_i, bit = divmod(i, e)

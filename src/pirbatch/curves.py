@@ -134,8 +134,8 @@ def piecewise(points, x):
 # ---------------------------------------------------------------------------
 
 # the points of a step of 1/100000, the finest grid accepted for every
-# series: the slowest, binary PIR, takes about three minutes on it on a
-# 2-vCPU host, and the time grows with the points
+# series: the slowest, binary PIR, takes about 70 s on it on a 2-vCPU
+# host, and the time grows with the points
 MAX_GRID_POINTS = 200001
 
 
@@ -159,7 +159,6 @@ def pir_delta_curves(eps_grid, s_values=None, variant="qary") -> list:
     if variant not in ("qary", "binary"):
         raise ValueError(f"unknown variant {variant!r}")
     delta = pir_delta_qary if variant == "qary" else pir_delta_binary
-    best_s = optimal_s_qary if variant == "qary" else optimal_s_binary
     rows = []
     for eps in eps_grid:
         eps = Fraction(eps)
@@ -169,12 +168,18 @@ def pir_delta_curves(eps_grid, s_values=None, variant="qary") -> list:
             rows.append({"epsilon": eps, "s": None, "delta": eps,
                          "s_star": None, "delta_star": eps, "variant": variant})
             continue
-        s_star = best_s(eps)
-        delta_star = min(delta(s, eps) for s in _admissible_range(eps))
+        # each admissible s once: the binary s_star is the smallest s at
+        # the min, as `optimal_s_binary` gives it; the q-ary one is its
+        # closed form, which can take a larger s at a tie
+        deltas = {s: delta(s, eps) for s in _admissible_range(eps)}
+        delta_star, s_star = min((d, s) for s, d in deltas.items())
+        if variant == "qary":
+            s_star = optimal_s_qary(eps)
         for s in (s_values if s_values is not None else [s_star]):
             if s * (1 - eps) <= 1:
                 continue
-            rows.append({"epsilon": eps, "s": s, "delta": delta(s, eps),
+            rows.append({"epsilon": eps, "s": s,
+                         "delta": deltas[s] if s in deltas else delta(s, eps),
                          "s_star": s_star, "delta_star": delta_star,
                          "variant": variant})
     return rows
@@ -200,18 +205,16 @@ def curve_series(which: str, step: Fraction) -> list:
 
     if which in ("pir-binary", "pir-qary"):
         binary = which == "pir-binary"
-        variant = "binary" if binary else "qary"
-        if binary:
-            for row in pir_delta_curves(grid, s_values=(3, 5, 7, 20), variant=variant):
-                if row["s"] is not None:
-                    emit(f"delta_s{row['s']}", row["epsilon"], row["delta"])
-        for row in pir_delta_curves(grid, variant=variant):
+        for row in pir_delta_curves(grid, variant="binary" if binary else "qary"):
             emit("replication" if row["s"] is None else "optimal",
                  row["epsilon"], row["delta"])
         for eps in grid:
             emit("lower-bound", eps, piecewise(LOWER_BOUND_CURVE, eps))
             if binary:
                 emit("prior-work", eps, piecewise(PIR_PRIOR_CURVE, eps))
+                for s in (3, 5, 7, 20):
+                    if s * (1 - eps) > 1:
+                        emit(f"delta_s{s}", eps, pir_delta_binary(s, eps))
     elif which == "batch":
         half = Fraction(1, 2)
         for eps in grid:

@@ -6,8 +6,9 @@ that adds negated multiples of each pivot row to the others, serves span
 solving, the Hermite line solvers of `mpoly` and the systematic view of
 a multiplicity code.  `row_echelon_with_combos` serves only
 `solve_by_elimination`, the pure-Python oracle of `solve_in_span`.
-`solve_in_span_gf2` solves on GF(2) bitmasks without numpy, converted
-from 0/1 vectors by `_pack` and `_unpack`; `_symbols` and `in_field`
+`solve_in_span_gf2` solves on GF(2) bitmasks without numpy;
+`pack_words` and `unpack_words` are the one conversion between words
+(ints whose bit b is entry b) and 0/1 arrays.  `_symbols` and `in_field`
 check that a vector's entries lie in [0, q).  `check_generator_size`
 refuses a dense generator above `MAX_GENERATOR_ENTRIES` before it is
 built.
@@ -159,16 +160,28 @@ def solve_by_elimination(field, columns, target):
     return coeffs
 
 
-# byte value -> ASCII binary digit: 0 -> "0", any other value -> "1"
-_DIGIT = b"0" + b"1" * 255
-# ASCII binary digit -> bit value
-_BIT = bytes.maketrans(b"01", b"\x00\x01")
+def unpack_words(words, t):
+    """The low t bits of each word, bit 0 first, as a (len(words), t)
+    uint8 array of 0 and 1: row j holds word j.  A word must fit in
+    ceil(t / 8) bytes.  The inverse of `pack_words`."""
+    width = (t + 7) // 8
+    raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words),
+                        dtype=np.uint8).reshape(len(words), width)
+    return np.unpackbits(raw, axis=1, count=t, bitorder="little")
 
 
-def _pack(vec):
-    """Int whose bit i is set when vec[i] is nonzero; vec holds ints in
-    [0, 256) (or is bytes).  The digits are reversed so bit 0 comes last."""
-    return int(b"0" + bytes(vec)[::-1].translate(_DIGIT), 2)
+def pack_words(bits) -> list:
+    """The word of each row of a 2-D array, as an int whose bit b is set
+    when the row's entry b is nonzero.  A row of at most 8 entries, as a
+    single message's are, packs to one byte, which is its word; a row of
+    none is the word 0."""
+    count, t = bits.shape
+    width = (t + 7) // 8
+    raw = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    if width <= 1:
+        return list(raw) if width else [0] * count
+    return [int.from_bytes(raw[j:j + width], "little")
+            for j in range(0, count * width, width)]
 
 
 def _symbols(vec, q):
@@ -188,14 +201,6 @@ def in_field(vec, q) -> bool:
     if q <= 256:
         return _symbols(vec, q) is not None
     return all(isinstance(x, int) and 0 <= x < q for x in vec)
-
-
-def _unpack(word, width):
-    """The low ``width`` bits of a nonnegative int below 2**width, bit 0
-    first, as bytes of 0 and 1: the inverse of `_pack`.  A marker bit at
-    ``width`` gives exactly width + 1 digits, the marker first, which the
-    reversing slice drops (width 0 included)."""
-    return format(word | 1 << width, "b")[:0:-1].encode().translate(_BIT)
 
 
 def solve_in_span_gf2(column_masks, target_mask):

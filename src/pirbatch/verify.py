@@ -32,15 +32,18 @@ class GeneratorMatrix:
     """Systematic n x N generator: rows encode the unit messages and the
     columns at info_positions form an identity.
 
-    It is built from its rows, or over GF(2) from its column bitmasks
-    (`from_masks`); the rows, the columns, the masks and the array are
-    each derived from what it was built with on first use, and kept."""
+    It keeps one form, the one it was built with: its rows as a read-only
+    array in the narrowest unsigned type (`matrix`, from the rows it is
+    given, which it copies), or over GF(2) its column bitmasks (`masks`,
+    by `from_masks`).  The other form, and the rows as tuples, are derived
+    on first use and kept; rows and masks convert through `linalg`'s word
+    packer."""
 
     def __init__(self, field, rows, info_positions):
         self.field = field
-        self.rows = tuple(rows)
+        self.matrix = gf.narrow(field, rows)
         self.info_positions = tuple(info_positions)
-        self.n, self.N = len(self.rows), len(self.rows[0])
+        self.n, self.N = self.matrix.shape
 
     @classmethod
     def from_masks(cls, field, n, masks, info_positions):
@@ -50,39 +53,23 @@ class GeneratorMatrix:
         return G
 
     @cached_property
-    def rows(self) -> tuple:
-        # each mask unpacked to its n bits is a column, so the bytes are
-        # column-major and row r is every n-th byte from r
-        n = self.n
-        flat = b"".join(linalg._unpack(m, n) for m in self.masks)
-        return tuple(tuple(flat[r::n]) for r in range(n))
-
-    @cached_property
-    def columns(self) -> tuple:
-        return tuple(zip(*self.rows))
+    def matrix(self):
+        """The rows as one read-only array in the narrowest unsigned type."""
+        # mask j unpacked to its n bits is column j
+        return gf.narrow(self.field, linalg.unpack_words(self.masks, self.n).T)
 
     @cached_property
     def masks(self) -> tuple:
         """Column j over GF(2) as an int whose bit r is its entry in row r."""
-        return _column_words(map(bytes, self.rows), self.N)
+        return tuple(linalg.pack_words(self.matrix.T))
 
     @cached_property
-    def matrix(self):
-        """The rows as one read-only array in the narrowest unsigned type,
-        for witness checks over fields other than GF(2); those check on
-        `masks` and never build it."""
-        return gf.narrow(self.field, self.rows)
+    def rows(self) -> tuple:
+        """The rows as tuples of ints, as tests compare them."""
+        return tuple(map(tuple, self.matrix.tolist()))
 
     def column(self, j: int) -> tuple:
-        return self.columns[j]
-
-
-def _column_words(rows, N) -> tuple:
-    """The column words of rows of N bits, each given as bytes of 0 and 1:
-    the rows are joined once, and column j is then every N-th byte from
-    j, which `linalg._pack` turns into its word."""
-    flat = b"".join(rows)
-    return tuple(linalg._pack(flat[j::N]) for j in range(N))
+        return tuple(self.matrix[:, j].tolist())
 
 
 def extract_generator(fld, encoder, n, N, trials=50, rng=None) -> GeneratorMatrix:
@@ -146,7 +133,8 @@ def _extract_words(fld, batch, n, N, trials, rng):
 
 def _extract_array(fld, batch, n, N, trials, rng):
     """`extract_generator` on a (n + 3 trials, n) array of messages: the
-    identity, A, B and A + B."""
+    identity, A, B and A + B.  The generator copies the unit rows out of
+    the encoded block, so the block is freed on return."""
     q, t = fld.q, trials
     a, b = _random_array(rng, q, t, n), _random_array(rng, q, t, n)
     out = np.asarray(batch(np.vstack([np.eye(n, dtype=np.int64), a, b,
@@ -164,7 +152,7 @@ def _extract_array(fld, batch, n, N, trials, rng):
     units = out[:n]
     nonzero = units != 0
     unit = np.flatnonzero((nonzero.sum(axis=0) == 1) & (units.max(axis=0, initial=0) == 1))
-    return GeneratorMatrix(fld, map(tuple, units.tolist()), _unit_columns(
+    return GeneratorMatrix(fld, units, _unit_columns(
         n, zip(nonzero[:, unit].argmax(axis=0).tolist(), unit.tolist())))
 
 
@@ -286,7 +274,7 @@ def _solve_recovery(G, target, R):
         sol = linalg.solve_in_span_gf2([masks[j] for j in cols_idx], target)
         coeffs = None if sol is None else [sol >> t & 1 for t in range(len(cols_idx))]
     else:
-        coeffs = linalg.solve_in_span(G.field, [G.column(j) for j in cols_idx], target)
+        coeffs = linalg.solve_in_span(G.field, G.matrix[:, cols_idx].T, target)
     if coeffs is None:
         return False, None
     return True, {j: c for j, c in zip(cols_idx, coeffs) if c}
@@ -301,7 +289,6 @@ class Report:
     passed: int = 0
     failures: list = field(default_factory=list)  # (request_id, detail)
     seed: int | None = None
-    sampled: bool = False
 
     @property
     def failed(self) -> int:
@@ -376,7 +363,7 @@ def certify_pir(G: GeneratorMatrix, claims, k: int) -> Report:
 
 
 def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
-                  positions_of=None, seed=None, sampled=False) -> Report:
+                  positions_of=None) -> Report:
     """Run the planner on every request and check validity plus pairwise
     disjointness of the returned sets.
 
@@ -387,7 +374,7 @@ def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
     target before any span is solved.  A position outside [0, N) fails
     the request.
     """
-    report = Report(kind="batch", seed=seed, sampled=sampled)
+    report = Report(kind="batch")
     for rid, request in enumerate(requests):
         try:
             sets = planner(request)
@@ -424,18 +411,18 @@ def _row(witness, r):
     return None if witness is None or r >= len(witness) else witness[r]
 
 
-def enumerate_requests(num_targets: int, k: int, targets=None,
+def enumerate_requests(num_targets: int, k: int,
                        limit=DEFAULT_REQUEST_LIMIT, seed=0):
-    """All size-k multisets of targets, or a seeded sample when the full
-    enumeration exceeds ``limit``, which must be at least 1.  Returns
-    (requests, seed_used, sampled).
+    """All size-k multisets of the targets 0 .. num_targets - 1, or a
+    seeded sample when the full enumeration exceeds ``limit``, which must
+    be at least 1.  Returns (requests, seed_used, sampled).
     """
     if limit < 1:
         raise ValueError(f"the request limit must be >= 1, got {limit}")
-    targets = list(targets) if targets is not None else list(range(num_targets))
+    targets = range(num_targets)
     total = 1
     for i in range(k):
-        total = total * (len(targets) + i) // (i + 1)  # C(n+k-1, k)
+        total = total * (num_targets + i) // (i + 1)  # C(n+k-1, k)
     if total <= limit:
         return itertools.combinations_with_replacement(targets, k), None, False
     rng = random.Random(seed)
@@ -457,14 +444,13 @@ def min_distance(G: GeneratorMatrix, symbol_size: int = 1) -> int:
         raise CapacityError(f"{q}^{n} messages exceed the enumeration guard")
     if N % symbol_size:
         raise ValueError("symbol_size must divide the code length")
-    gen = np.array(G.rows, dtype=np.int64)
     total = q ** n
     radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     best = N + 1
     chunk = 1 << 14
     for start in range(1, total, chunk):  # message 0 is the zero message
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        cw = gf.matmul(fld, (idx[:, None] // radix) % q, gen)
+        cw = gf.matmul(fld, (idx[:, None] // radix) % q, G.matrix)
         weights = cw.reshape(cw.shape[0], -1, symbol_size).any(axis=2).sum(axis=1)
         best = min(best, int(weights.min()))
     return best

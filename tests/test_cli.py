@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -481,6 +482,56 @@ def test_curves_deterministic_and_exact(tmp_path, capsys):
     by_key = {(r[0], r[2]): Fraction(r[3]) for r in rows}
     assert by_key[("0", "delta_s3")] == Fraction(5, 6)
     assert by_key[("1.5", "replication")] == Fraction(3, 2)
+
+
+# sha256 of the CSV `curves -o` writes, pinned from the two-pass
+# implementation: every series and table row is unchanged byte for byte
+CURVE_CSV_SHA256 = {
+    ("pir-binary", "0.1", None):
+        "e61aefe756987b2589612e0b9f48f7138a5cb5a3f8191babfe9fb5961e9c8d07",
+    ("pir-binary", "0.001", None):
+        "108e73dbc815b3f12935e97e2a2327e9ce6ebad79c497287b0129a8910a5d70a",
+    ("pir-qary", "0.1", None):
+        "06b274911e7857bc606062edbdba4dab2c901b446d55faa2a325b42d82208954",
+    ("pir-qary", "0.001", None):
+        "0165190922cc8afc0b54beb4f9bae258088bdc7b0c7ddf115c8c79e9d0f9a445",
+    ("batch", "0.1", None):
+        "76d80143b2d361ad827ca6815e72db7fc90879357e662cc3138fc349d8c9eb86",
+    ("batch", "0.001", None):
+        "4a4729e1ad6f3d012cb161e60ca3abbc1c42b13f4653d1fdcfb329cd018b2b76",
+    ("pir-binary", "0.1", "table"):
+        "cd69d9881df568381db48609048e55a100a320c6f7ba5180ac0393bd4c4186ba",
+    ("pir-binary", "0.1", "2,3,5,7,20"):
+        "2b914443b6833bc7321c56ab01bb1c99be14fcdb6d05068390d435bc025ff6bd",
+    ("pir-binary", "0.001", "table"):
+        "b7034d2b26dfff33a536fda2704960177d6c880b31a8e1dfc62fece97be82989",
+    ("pir-binary", "0.001", "2,3,5,7,20"):
+        "1f61dfda08b0f775bd16f71ca6ee3916bc758e86af67c6561a00f3990af0d53b",
+    ("pir-qary", "0.1", "table"):
+        "013cc833dca8dd907e2e01646cc6489f83fd16a4d08d7c05d556d05550a23d35",
+    ("pir-qary", "0.1", "2,3,5,7,20"):
+        "008cfc81b1d4dd418262921306ad579f91bf616aea907076aa3155fdbe5a4cd2",
+    ("pir-qary", "0.001", "table"):
+        "219394f04bb8007824c4602dc58f349235e1094621b2f636aedcb4a0549c2f38",
+    ("pir-qary", "0.001", "2,3,5,7,20"):
+        "b2ae96b9c2fd45b6f7e38b578b3e0734340fd52b863d503963c57315329a654b",
+}
+
+
+@pytest.mark.parametrize("which,step,table", list(CURVE_CSV_SHA256))
+def test_curves_csv_is_pinned(which, step, table, tmp_path, capsys):
+    # table: None for the series CSV, "table" for --format table, else
+    # the --s-values of a table
+    out = tmp_path / "curves.csv"
+    argv = ["curves", "--which", which, "--step", step, "-o", str(out)]
+    if table is not None:
+        argv += ["--format", "table"]
+    if table not in (None, "table"):
+        argv += ["--s-values", table]
+    assert run(argv) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CURVE_CSV_SHA256[which, step, table]
 
 
 def test_curves_batch_crossover(capsys):

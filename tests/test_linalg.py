@@ -1,11 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pirbatch import linalg
-from pirbatch.gf import Field
+from pirbatch.gf import Field, np
 
 # rref for every field, and bitmasks too at q = 2: primes, among them
 # 65521, the largest prime field a descriptor accepts, where products of two
@@ -51,7 +51,7 @@ def test_prime_field_solve_matches_elimination(q, kind, n, k, seed):
     got = linalg.solve_in_span(fld, cols, target)
     assert got == linalg.solve_by_elimination(fld, cols, target)
     if q == 2:
-        sol = linalg.solve_in_span_gf2(list(map(linalg._pack, cols)), linalg._pack(target))
+        sol = linalg.solve_in_span_gf2(_words(cols, n), _words([target], n)[0])
         assert got == (None if sol is None else [sol >> i & 1 for i in range(len(cols))])
     if kind in ("consistent", "rank-deficient", "zero-target"):
         assert got is not None
@@ -63,13 +63,35 @@ def test_prime_field_solve_matches_elimination(q, kind, n, k, seed):
         assert linalg.matvec(fld, rows, got) == (target if cols else [])
 
 
+def _words(vectors, t):
+    """The word of each 0/1 vector of length t, through `linalg.pack_words`."""
+    return linalg.pack_words(np.array(vectors, dtype=np.uint8).reshape(len(vectors), t))
+
+
 @settings(max_examples=200, deadline=None)
 @given(bits=st.lists(st.integers(0, 1), max_size=300))
 def test_pack_and_unpack_are_inverse(bits):
-    word = linalg._pack(bits)
+    word = _words([bits], len(bits))[0]
     assert word == sum(b << i for i, b in enumerate(bits))
-    assert list(linalg._unpack(word, len(bits))) == bits
+    assert linalg.unpack_words([word], len(bits))[0].tolist() == bits
     assert linalg._symbols(bits, 2) == bytes(bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.integers(0, 70).flatmap(lambda t: st.tuples(
+    st.just(t), st.lists(st.integers(0, (1 << t) - 1) | st.just(0), max_size=12))))
+@example(case=(0, [0, 0, 0]))  # no bits: every word is 0
+@example(case=(1, [0, 1, 1]))
+@example(case=(8, [0, 0, 255, 1]))  # one full byte
+@example(case=(9, [0, 511, 256]))  # one bit past a byte
+def test_word_packer_round_trip(case):
+    t, words = case
+    bits = linalg.unpack_words(words, t)
+    assert bits.shape == (len(words), t) and bits.dtype == np.uint8
+    assert bits.tolist() == [[w >> b & 1 for b in range(t)] for w in words]
+    assert linalg.pack_words(bits) == words
+    # any nonzero entry is a set bit
+    assert linalg.pack_words(bits * 3) == words
 
 
 def test_symbols_refuses_entries_outside_the_field():

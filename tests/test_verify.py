@@ -161,8 +161,13 @@ def test_masks_equal_packed_columns(n, N, density, seed):
     for row in rows:
         row[zero_col] = 0  # and an all-zero column
     G = GeneratorMatrix(field=GF2, rows=tuple(map(tuple, rows)), info_positions=())
-    assert G.masks == tuple(sum(v << r for r, v in enumerate(col))
-                            for col in zip(*rows))
+    masks = tuple(sum(v << r for r, v in enumerate(col)) for col in zip(*rows))
+    assert G.masks == masks
+    # the same generator built from its masks derives the same rows
+    H = GeneratorMatrix.from_masks(GF2, n, masks, ())
+    assert H.matrix.dtype == G.matrix.dtype and np.array_equal(H.matrix, G.matrix)
+    assert H.rows == G.rows == tuple(map(tuple, rows))
+    assert H.masks == masks and (H.n, H.N) == (G.n, G.N) == (n, N)
 
 
 def test_is_recovering_set_basics():
