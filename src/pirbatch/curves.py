@@ -10,6 +10,7 @@ paper's figures compare against, and the two CSV renderings the
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 F = Fraction
 
@@ -44,20 +45,20 @@ def optimal_s_qary(eps: Fraction) -> int:
     return max(2, int(Fraction(2, 1) / (1 - eps)))
 
 
-def _admissible_range(eps: Fraction):
-    s_min = 2
-    while s_min * (1 - eps) <= 1:
-        s_min += 1
-    # both exponents worsen for large s; a generous cap keeps the argmin exact
-    s_max = max(s_min + 4, int(Fraction(2) / (1 - eps)) + 4)
-    return range(s_min, s_max + 1)
+def _argmin_pair(eps: Fraction):
+    # both exponents fall as h(s) = (s(1 - eps) - 1) / (s(s - 1)) rises, and
+    # h rises up to s+ = (1 + sqrt(eps)) / (1 - eps) and falls after, so c,
+    # the least admissible s >= floor(s+), or c + 1 is an argmin (eps = u/v)
+    u, v = eps.numerator, eps.denominator
+    c = max(v // (v - u) + 1, (v + isqrt(u * v)) // (v - u))
+    return c, c + 1
 
 
 def optimal_s_binary(eps: Fraction) -> int:
     eps = Fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    return min(_admissible_range(eps), key=lambda s: (pir_delta_binary(s, eps), s))
+    return min(_argmin_pair(eps), key=lambda s: (pir_delta_binary(s, eps), s))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def piecewise(points, x):
 # ---------------------------------------------------------------------------
 
 # the points of a step of 1/100000, the finest grid accepted for every
-# series: the slowest, binary PIR, takes about 70 s on it on a 2-vCPU
+# series: the slowest, binary PIR, takes about 37 s on it on a 2-vCPU
 # host, and the time grows with the points
 MAX_GRID_POINTS = 200001
 
@@ -168,18 +169,16 @@ def pir_delta_curves(eps_grid, s_values=None, variant="qary") -> list:
             rows.append({"epsilon": eps, "s": None, "delta": eps,
                          "s_star": None, "delta_star": eps, "variant": variant})
             continue
-        # each admissible s once: the binary s_star is the smallest s at
-        # the min, as `optimal_s_binary` gives it; the q-ary one is its
-        # closed form, which can take a larger s at a tie
-        deltas = {s: delta(s, eps) for s in _admissible_range(eps)}
-        delta_star, s_star = min((d, s) for s, d in deltas.items())
+        # the binary s_star is the smaller s at a tie, as `optimal_s_binary`
+        # gives it; the q-ary one is its closed form, which can be the larger
+        delta_star, s_star = min((delta(s, eps), s) for s in _argmin_pair(eps))
         if variant == "qary":
             s_star = optimal_s_qary(eps)
         for s in (s_values if s_values is not None else [s_star]):
             if s * (1 - eps) <= 1:
                 continue
             rows.append({"epsilon": eps, "s": s,
-                         "delta": deltas[s] if s in deltas else delta(s, eps),
+                         "delta": delta(s, eps),
                          "s_star": s_star, "delta_star": delta_star,
                          "variant": variant})
     return rows

@@ -8,17 +8,18 @@ int encodes the element's coefficient vector over GF(p) in base p::
 so 0 and 1 are the additive and multiplicative identities in every field,
 and sorting ints gives the canonical element order used for codeword
 indexing throughout the package (0 first, 1 second, then the rest).
+
+A proper extension field multiplies, scalar and vectorised alike, through
+one log/antilog table pair built on first use (`Field._tables`), with no
+test for zero; a prime field multiplies mod p.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 MAX_FIELD_SIZE = 1 << 16
-
-# fields up to this size get an eagerly built multiplication table
-_TABLE_LIMIT = 64
 
 
 class CapacityError(ValueError):
@@ -117,8 +118,9 @@ class Field:
         encoding, so element representations are stable across runs.
         Degree-1 fields use the identity modulus (0, 1).
 
-    All operations are pure functions on ints; instances are immutable
-    after construction and safe for unrestricted concurrent use.
+    All operations are pure functions on ints, and instances are safe for
+    unrestricted concurrent use: the log tables are derived state, built
+    on first use, and building them again gives identical tables.
     """
 
     def __init__(self, characteristic: int, extension_degree: int = 1,
@@ -145,10 +147,6 @@ class Field:
         self.e = e
         self.q = q
         self.modulus = modulus
-        self._mul_table = None
-        if e > 1 and q <= _TABLE_LIMIT:
-            self._mul_table = [[self._mul_raw(a, b) for b in range(q)]
-                               for a in range(q)]
 
     @classmethod
     def from_order(cls, q: int, modulus=None) -> "Field":
@@ -214,6 +212,7 @@ class Field:
         return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
+        # the polynomial product mod the modulus, which builds the tables
         p = self.p
         da = self.coeffs(a)
         db = self.coeffs(b)
@@ -223,17 +222,31 @@ class Field:
                 for j, cb in enumerate(db):
                     prod[i + j] = (prod[i + j] + ca * cb) % p
         rem = _poly_mod(tuple(prod), self.modulus, p)
-        a = 0
-        for c in reversed(rem):
-            a = a * p + c
-        return a
+        return sum(c * p ** i for i, c in enumerate(rem))
+
+    @cached_property
+    def _tables(self):
+        """(log, antilog) lists over the first primitive element g:
+        ``log[0] = 2(q - 1)``, and ``antilog`` is g^0 .. g^(2q - 3), then
+        zeros up to index 4(q - 1), so ``antilog[log[a] + log[b]]`` is a*b."""
+        q = self.q
+        for g in range(2, q):
+            antilog, x = [1], g
+            while x != 1:
+                antilog.append(x)
+                x = self._mul_raw(x, g)
+            if len(antilog) == q - 1:
+                break
+        log = [2 * (q - 1)] * q
+        for i, x in enumerate(antilog):
+            log[x] = i
+        return log, antilog * 2 + [0] * (2 * q - 1)
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return a * b % self.p
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        return self._mul_raw(a, b)
+        log, antilog = self._tables
+        return antilog[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError for 0."""
@@ -241,7 +254,8 @@ class Field:
             raise ZeroDivisionError(f"0 has no inverse in {self!r}")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.q - 2)
+        log, antilog = self._tables
+        return antilog[self.q - 1 - log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -251,13 +265,10 @@ class Field:
             a, n = self.inv(a), -n
         if self.e == 1:
             return pow(a, n, self.p)
-        out = 1
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return out
+        if a == 0:
+            return 1 if n == 0 else 0
+        log, antilog = self._tables
+        return antilog[log[a] * n % (self.q - 1)]
 
     # -- identity ------------------------------------------------------------
 
@@ -321,31 +332,19 @@ def narrow(field: Field, a) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _log_tables(field: Field):
-    """(log, antilog) of a proper extension field over a primitive element;
-    the antilog table is doubled so a sum of two logs needs no reduction."""
-    q = field.q
-    for g in range(2, q):
-        powers, x = [1], g
-        while x != 1:
-            powers.append(x)
-            x = field.mul(x, g)
-        if len(powers) == q - 1:
-            break
-    antilog = np.array(powers * 2, dtype=np.int64)
-    log = np.zeros(q, dtype=np.int64)
-    log[antilog[:q - 1]] = np.arange(q - 1)
-    return log, antilog
+    """The field's (log, antilog) tables as int64 arrays."""
+    return tuple(np.array(t, dtype=np.int64) for t in field._tables)
 
 
 def multiply(field: Field, a, b) -> np.ndarray:
     """Entry-by-entry product of int arrays of elements, broadcasting as
-    numpy does; extension fields go through log and antilog tables."""
+    numpy does; an extension field reads its log and antilog tables."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if field.e == 1:
         return a * b % field.p
     log, antilog = _log_tables(field)
-    return np.where((a == 0) | (b == 0), 0, antilog[log[a] + log[b]])
+    return antilog[log[a] + log[b]]
 
 
 def add(field: Field, a, b) -> np.ndarray:

@@ -1,4 +1,7 @@
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -259,3 +262,124 @@ def test_prime_field_matmul_is_exact_on_both_sides_of_the_float64_bound(inner):
     out = gf.matmul(fld, a, a[:, None])
     assert out.dtype == gf.np.int64
     assert out.tolist() == [((inner - 1) * (p - 1) ** 2 + 1) % p]
+
+
+# Extension fields multiply through one log/antilog table pair; these
+# fields span p = 2 and odd p, sizes on both sides of 64, and a modulus,
+# x^4 + x^3 + x^2 + x + 1, whose root x has order 5, so the tables'
+# primitive element is not x.
+TABLE_FIELDS = [Field.from_order(q) for q in (4, 8, 9, 16, 25, 27, 81, 128, 256)]
+TABLE_FIELDS.append(Field(2, 4, modulus=[1, 1, 1, 1, 1]))
+
+
+def test_the_non_primitive_modulus_has_a_root_of_order_5():
+    f = TABLE_FIELDS[-1]
+    x = f.from_coeffs((0, 1, 0, 0))
+    powers = [1]
+    for _ in range(5):
+        powers.append(f._mul_raw(powers[-1], x))
+    assert powers[5] == 1 and 1 not in powers[1:5]
+
+
+def _elements(f):
+    """Elements of f, with 0 and 1 drawn often."""
+    return st.sampled_from([0, 1]) | st.integers(0, f.q - 1)
+
+
+@st.composite
+def _field_and_element(draw):
+    f = draw(st.sampled_from(TABLE_FIELDS))
+    return f, draw(_elements(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_field_and_element(), st.data())
+def test_scalar_mul_and_inv_match_the_polynomial_product(fa, data):
+    f, a = fa
+    b = data.draw(_elements(f))
+    assert f.mul(a, b) == f._mul_raw(a, b)
+    if a:
+        assert f._mul_raw(f.inv(a), a) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            f.inv(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_field_and_element(), st.data())
+def test_scalar_pow_matches_repeated_products(fa, data):
+    f, a = fa
+    n = data.draw(st.integers(-3, 2 * f.q))
+    if a == 0 and n < 0:
+        with pytest.raises(ZeroDivisionError):
+            f.pow(a, n)
+        return
+    want = 1
+    for _ in range(abs(n)):
+        want = f._mul_raw(want, a)
+    if n >= 0:
+        assert f.pow(a, n) == want
+    else:
+        assert f._mul_raw(f.pow(a, n), want) == 1
+    assert f.pow(0, 0) == 1
+    assert f.pow(0, abs(n) + 1) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(TABLE_FIELDS), st.data())
+def test_vectorised_multiply_broadcasts_as_the_scalar_product(f, data):
+    rows, cols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    entries = _elements(f)
+    a = data.draw(st.lists(st.lists(entries, min_size=1, max_size=1),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+    want = [[f.mul(x[0], y) for y in b] for x in a]
+    for how in ("int64", "narrow"):
+        out = gf.multiply(f, _presented(f, a, how), _presented(f, b, how))
+        assert out.dtype == gf.np.int64
+        assert out.tolist() == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([f for f in TABLE_FIELDS if f.q > 64]), st.data())
+def test_extension_field_matmul_above_64_matches_the_list_product(f, data):
+    rows, inner, cols = (data.draw(st.integers(1, 5)) for _ in range(3))
+    entries = _elements(f)
+    a = data.draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                           min_size=rows, max_size=rows))
+    b = data.draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                           min_size=inner, max_size=inner))
+    how = data.draw(st.sampled_from(PRESENTATIONS))
+    assert gf.matmul(f, _presented(f, a, how), _presented(f, b, how)).tolist() \
+        == linalg.matmul(f, a, b)
+
+
+@pytest.mark.parametrize("f", TABLE_FIELDS, ids=repr)
+def test_a_field_with_built_tables_survives_pickling(f):
+    f.mul(1, 1)
+    assert "_tables" in vars(f)
+    g = pickle.loads(pickle.dumps(f))
+    assert g == f and g is not f
+    pairs = [(a, b) for a in range(f.q) for b in range(0, f.q, 7)]
+    assert [g.mul(a, b) for a, b in pairs] == [f._mul_raw(a, b) for a, b in pairs]
+    assert [g.inv(a) for a in range(1, f.q)] == [f.inv(a) for a in range(1, f.q)]
+
+
+def test_threads_that_build_the_tables_at_once_agree():
+    f = Field(2, 8)  # a fresh instance, so its tables are not built yet
+    pairs = [(a, b) for a in range(0, 256, 3) for b in range(0, 256, 5)]
+    want = [f._mul_raw(a, b) for a, b in pairs]
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(
+            [f.mul(a, b) for a, b in pairs])) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [want] * 4
