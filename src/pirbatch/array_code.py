@@ -42,6 +42,8 @@ class ArrayCodeParams:
             raise ValueError("rows and cols must be >= 1")
         object.__setattr__(self, "slopes", tuple(self.slopes))
         s = self.slopes
+        if not s:
+            raise ValueError("need at least one slope")
         if any(not 0 <= x < self.cols for x in s) or list(s) != sorted(set(s)):
             raise ValueError("slopes must be strictly increasing within [0, cols)")
 
@@ -258,8 +260,7 @@ def params_for_dimension(n: int, k: int) -> ArrayCodeParams:
     r = 1
     while r ** 3 * k * k < n:
         r += 1
-    p = smallest_prime_above(2 * k * k * r * r)
-    return ArrayCodeParams(rows=r, cols=p, slopes=greedy_slope_set(r, p, k))
+    return build_rk_batch(r, k)  # k^2 < n makes r >= 2
 
 
 @lru_cache(maxsize=None)

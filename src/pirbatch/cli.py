@@ -132,16 +132,21 @@ def _load_descriptor(path) -> dict:
     return desc
 
 
+def _planner(runtime, mode, k):
+    """(planner, positions_of) that certify checks a mode's requests with.
+    A PIR request (i, ..., i) is served by symbol i's own readers; a
+    batch planner refuses a k it cannot serve with ValueError."""
+    if mode == "pir":
+        return (lambda request: runtime.recovery(request[0]).readers), None
+    if runtime.batch_planner is None:
+        raise ValueError(f"{runtime.family} has no batch planner")
+    return runtime.batch_planner(k), runtime.positions_of
+
+
 def _certify_chunk(payload):
     desc, G, mode, k, chunk = payload
-    runtime = build_runtime(desc)
-    if mode == "pir":
-        claims = {i: [runtime.reader(i, s) for s in range(runtime.k)]
-                  for i in chunk}
-        report = verify.certify_pir(G, claims, k)
-    else:
-        report = verify.certify_batch(G, runtime.batch_planner(k), k, chunk,
-                                      positions_of=runtime.positions_of)
+    planner, positions_of = _planner(build_runtime(desc), mode, k)
+    report = verify.certify_batch(G, planner, k, chunk, positions_of=positions_of)
     return report.total, report.passed, report.failures
 
 
@@ -153,15 +158,14 @@ def cmd_certify(args) -> int:
         raise ValueError(f"--k must be >= 1, got {k}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    # refuse a generator above the cap before sampling requests, which can
-    # take seconds on such a code
+    # refuse a generator above the cap, and a k the planner cannot serve,
+    # before sampling requests and extracting, which can take seconds
     linalg.check_generator_size(runtime.n, runtime.N)
+    _planner(runtime, args.mode, k)
     if args.mode == "pir":
-        work = list(range(runtime.n))
+        work = [(i,) * k for i in range(runtime.n)]
         seed = None
     else:
-        if runtime.batch_planner is None:
-            raise ValueError(f"{runtime.family} has no batch planner")
         reqs, seed, _ = verify.enumerate_requests(
             runtime.batch_targets, k, limit=args.limit, seed=args.seed)
         work = list(reqs)
@@ -183,9 +187,7 @@ def cmd_certify(args) -> int:
     for (total, passed, failures), chunk in zip(results, chunks):
         report.total += total
         report.passed += passed
-        for rid, detail in failures:
-            report.failures.append((rid if args.mode == "pir" else rid + offset,
-                                    detail))
+        report.failures.extend((rid + offset, detail) for rid, detail in failures)
         offset += len(chunk)
     if args.report_csv:
         import csv

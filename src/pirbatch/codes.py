@@ -193,28 +193,23 @@ class LinearCode:
     def recover_info(self, codeword, i, set_index):
         """Information symbol i from its set ``set_index``; a restriction
         that fails the reader's checks raises DecodeFailure."""
+        return self.recover_all(codeword, i, slice(set_index, set_index + 1))[0]
+
+    def recover_all(self, codeword, i, sets=slice(None)) -> list:
+        """Information symbol i from each of its k sets, or the sets
+        ``sets`` slices, in set order; if any set's restriction fails its
+        reader's checks, DecodeFailure.  XOR readers are read without
+        calls, operator readers in one gather and one stacked `pir.read`
+        over the code's field."""
         rec = self.recovery(i)
         if rec.xor:
-            return array_code.recover_bit(codeword, rec.readers[set_index].positions)
-        return self._read(rec, codeword, slice(set_index, set_index + 1))[0]
-
-    def recover_all(self, codeword, i) -> list:
-        """Information symbol i from each of its k sets, in set order; if
-        any set's restriction fails its reader's checks, DecodeFailure."""
-        rec = self.recovery(i)
-        if rec.xor:  # `array_code.recover_bit` per set, without the calls
             out = []
-            for r in rec.readers:
+            for r in rec.readers[sets]:
                 acc = 0
                 for j in r.positions:
                     acc ^= codeword[j]
                 out.append(acc)
             return out
-        return self._read(rec, codeword, slice(None))
-
-    def _read(self, rec, codeword, sets) -> list:
-        """The symbol through the operator readers ``sets`` of ``rec``:
-        one gather and one stacked `pir.read` over the code's field."""
         x = np.asarray(codeword)[rec.index[sets]]
         return pir.read(self.field, rec.stack[sets], x, 1)[:, 0].tolist()
 
@@ -233,6 +228,7 @@ def from_multiplicity(params) -> LinearCode:
     view = multiplicity.systematic_view(params)
     width = params.symbol_width
     points = multiplicity.code_points(params)
+    slots = multiplicity.symbol_slots(params)
     generator = view.generator.T  # information symbols x coordinates
 
     def batch_planner(k):
@@ -264,7 +260,7 @@ def from_multiplicity(params) -> LinearCode:
         Encoder(params.field, params.base_dim,
                 lambda messages: gf.matmul(params.field, messages, generator)),
         recovery, details, batch_planner, params.num_points,
-        lambda t: range(t * width, (t + 1) * width))
+        lambda t: slots[points[t]])
 
 
 def _plan_positions(plan) -> tuple:

@@ -334,45 +334,62 @@ def _sets_disjoint(sets):
     return True
 
 
+def _claim_problems(G: GeneratorMatrix, k: int, targets, sets, positions_of):
+    """The problems of a claim that k disjoint ``sets`` recover
+    ``targets``, set s target s: a wrong count, an overlap, and each set
+    that does not recover its target (a set past the last target is only
+    counted).  A target is a message index, or with ``positions_of`` an
+    id whose positions its set must recover, witness row r the r-th.
+    The problems joined by "; ", or None when there are none."""
+    problems = []
+    if len(sets) != k:
+        problems.append(f"expected {k} sets, got {len(sets)}")
+    sets = [_claim(R) for R in sets]
+    if not _sets_disjoint(R for R, _ in sets):
+        problems.append("sets overlap")
+    for si, ((R, witness), target) in enumerate(zip(sets, targets)):
+        try:
+            if positions_of is None:
+                if not is_recovering_set(G, target, R, _row(witness, 0))[0]:
+                    problems.append(f"set {si} does not recover message {target}")
+                continue
+            for r, j in enumerate(positions_of(target)):
+                if not is_recovering_position(G, j, R, _row(witness, r))[0]:
+                    problems.append(f"set {si} does not recover position {j}")
+        except ValueError as exc:
+            problems.append(f"set {si} {exc}")
+    return "; ".join(problems) or None
+
+
 def certify_pir(G: GeneratorMatrix, claims, k: int) -> Report:
     """Check that every target's k claimed sets are valid recovering sets
     and pairwise disjoint.
 
     ``claims`` maps a message index to its list of claimed sets: sets of
     coordinates, or readers whose first witness row is checked before
-    any span is solved.  A position outside [0, N) fails the claim.
+    any span is solved.  A position outside [0, N) fails the claim.  These
+    are `certify_batch`'s checks of the request (i, ..., i), keyed by i.
     """
     report = Report(kind="pir")
     for target, sets in claims.items():
-        problems = []
-        if len(sets) != k:
-            problems.append(f"expected {k} sets, got {len(sets)}")
-        sets = [_claim(R) for R in sets]
-        if not _sets_disjoint(R for R, _ in sets):
-            problems.append("sets overlap")
-        for si, (R, witness) in enumerate(sets):
-            try:
-                ok, _ = is_recovering_set(G, target, R, _row(witness, 0))
-            except ValueError as exc:
-                problems.append(f"set {si} {exc}")
-                continue
-            if not ok:
-                problems.append(f"set {si} does not recover message {target}")
-        report.record(target, "; ".join(problems) or None)
+        report.record(target, _claim_problems(G, k, itertools.repeat(target),
+                                              sets, None))
     return report
 
 
 def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
                   positions_of=None) -> Report:
     """Run the planner on every request and check validity plus pairwise
-    disjointness of the returned sets.
+    disjointness of the returned sets, one per request entry in sorted
+    order.
 
     Requests are multisets of target ids; ``positions_of`` maps a target
     id to the codeword positions its set must recover (default: the id is
     a message index).  The planner returns sets of positions or readers;
     a reader's witness row r is checked for the r-th position of its
     target before any span is solved.  A position outside [0, N) fails
-    the request.
+    the request.  A failure's detail is the request, then the problems
+    in `certify_pir`'s words.
     """
     report = Report(kind="batch")
     for rid, request in enumerate(requests):
@@ -381,28 +398,8 @@ def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
         except Exception as exc:  # planner failures are certification data
             report.record(rid, f"planner failed on {request}: {exc}")
             continue
-        problems = []
-        sets = [_claim(R) for R in sets]
-        if len(sets) != len(request):
-            problems.append(f"planner returned {len(sets)} sets for {request}")
-        elif not _sets_disjoint(R for R, _ in sets):
-            problems.append(f"sets overlap for {request}")
-        else:
-            for target, (R, witness) in zip(sorted(request), sets):
-                try:
-                    if positions_of is None:
-                        ok, _ = is_recovering_set(G, target, R, _row(witness, 0))
-                        if not ok:
-                            problems.append(f"set for {target} in {request} invalid")
-                        continue
-                    for r, pos in enumerate(positions_of(target)):
-                        ok, _ = is_recovering_position(G, pos, R, _row(witness, r))
-                        if not ok:
-                            problems.append(
-                                f"set for {target} in {request} misses position {pos}")
-                except ValueError as exc:
-                    problems.append(f"set for {target} in {request} {exc}")
-        report.record(rid, "; ".join(problems) or None)
+        detail = _claim_problems(G, len(request), sorted(request), sets, positions_of)
+        report.record(rid, detail and f"{request}: {detail}")
     return report
 
 

@@ -70,11 +70,11 @@ def test_encode_examples():
 
 @st.composite
 def _array_message(draw):
-    """Random params with prime p <= 31, r <= p and any slope set, plus a
-    message for them."""
+    """Random params with prime p <= 31, r <= p and any nonempty slope
+    set, plus a message for them."""
     p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]))
     r = draw(st.integers(1, p))
-    slopes = draw(st.sets(st.integers(0, p - 1), max_size=p))
+    slopes = draw(st.sets(st.integers(0, p - 1), min_size=1, max_size=p))
     params = ArrayCodeParams(rows=r, cols=p, slopes=tuple(sorted(slopes)),
                              global_parity=draw(st.booleans()))
     bits = draw(st.lists(st.integers(0, 1), min_size=r * p, max_size=r * p))

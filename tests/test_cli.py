@@ -119,6 +119,65 @@ def test_certify_refuses_k_below_one_before_extraction(tmp_path, capsys, monkeyp
         assert f"--k must be >= 1, got {k}" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_certify_refuses_an_unservable_k_before_sampling_or_extraction(
+        tmp_path, capsys, monkeypatch, jobs):
+    # the planner refuses the k, not a pool worker after the generator
+    # was extracted
+    monkeypatch.setattr(cli.verify, "extract_generator", _no_extraction)
+    monkeypatch.setattr(cli.verify, "enumerate_requests", _no_extraction)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for build, k, message in (
+            (["array", "--r", "3", "--k", "3"], 4, "at most 3 parallel requests"),
+            (["multiplicity", "--m", "2", "--d", "4", "--s", "2", "--q", "11"], 5,
+             "d <= m*(q - k*m^(s-1) - 2) violated: d=4 > -2")):
+        desc = tmp_path / "code.json"
+        assert run(["build", *build, "-o", str(desc)]) == 0
+        capsys.readouterr()
+        assert run(["certify", str(desc), "--mode", "batch", "--k", str(k),
+                    "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+
+def test_certify_pir_failures_under_jobs_match_serial(tmp_path, capsys, monkeypatch):
+    # PIR runs as batch certification of the requests (i, ..., i): a chunk's
+    # request ids plus its offset are the symbols, under any split
+    desc = tmp_path / "rk.json"
+    run(["build", "array", "--r", "3", "--k", "3", "-o", str(desc)])
+    n = json.loads(capsys.readouterr().out)["n"]
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    reports = []
+    for jobs in ("1", "2"):
+        csv_path = tmp_path / f"report-{jobs}.csv"
+        assert run(["certify", str(desc), "--mode", "pir", "--k", "4",
+                    "--jobs", jobs, "--report-csv", str(csv_path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "total": n, "passed": 0, "failed": n, "seed": None}
+        reports.append(csv_path.read_text())
+    assert reports[0] == reports[1]
+    lines = reports[0].splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == [str(i) for i in range(n)]
+    assert lines[1] == '0,fail,"(0, 0, 0, 0): expected 4 sets, got 3"'
+
+
+def test_an_array_code_without_slopes_is_refused(tmp_path, capsys):
+    assert run(["build", "array", "--r", "2", "--p", "3", "--slopes", ""]) == 2
+    assert "need at least one slope" in capsys.readouterr().err
+    desc = tmp_path / "empty.json"
+    desc.write_text(json.dumps({"family": "array", "r": 2, "p": 3, "S": [],
+                                "global_parity": False}))
+    cw = tmp_path / "cw.json"
+    cw.write_text(json.dumps([0] * 6))
+    for command in (["roundtrip", str(desc)],
+                    ["recover", str(desc), "--codeword", str(cw), "--index", "0"],
+                    ["certify", str(desc), "--mode", "pir"]):
+        assert run(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "need at least one slope" in captured.err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_certify_refuses_jobs_below_one_before_extraction(tmp_path, capsys, monkeypatch,
                                                           jobs):

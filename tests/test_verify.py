@@ -391,15 +391,73 @@ def test_positions_outside_the_code_fail_the_claim(fld):
         -1: "set 0 targets message -1 outside [0, 2); "
             "set 1 targets message -1 outside [0, 2)"}
     report = certify_batch(G, lambda request: [{-1}], 1, [(0,)])
-    assert report.failures == [(0, "set for 0 in (0,) reads position -1 outside [0, 3)")]
+    assert report.failures == [(0, "(0,): set 0 reads position -1 outside [0, 3)")]
     report = certify_batch(G, lambda request: [{0}], 1, [(0,)],
                            positions_of=lambda t: (0, -1))
     assert report.failures == [
-        (0, "set for 0 in (0,) targets position -1 outside [0, 3)")]
+        (0, "(0,): set 0 targets position -1 outside [0, 3)")]
     for check, target in ((is_recovering_set, 0), (is_recovering_position, 2)):
         with pytest.raises(ValueError, match="outside"):
             check(G, target, (-1,), witness=[1])
         assert check(G, target, (2,), witness=[1])[0]
+
+
+CLAIM_KINDS = ("valid", "overlapping", "wrong target", "out of range",
+               "too few", "too many")
+
+
+def _claim_of_kind(data, kind, i, n, N, k):
+    """Message i's claimed sets in a code whose columns c*n + t, c < k,
+    are all message t's unit column and whose columns from k*n on are
+    random parities: ``kind`` says how the k sets {c*n + i} are spoiled,
+    after each set takes some parity columns of its own."""
+    parity = data.draw(st.permutations(range(k * n, N)), label="parity order")
+    sets = [{c * n + i, *parity[c::k + 1]} for c in range(k)]
+    if kind == "overlapping" and k > 1:
+        sets[1].add(min(sets[0]))
+    elif kind == "wrong target":
+        sets[-1] = {c * n + (i + 1) % n for c in range(k)} - set().union(*sets[:-1])
+    elif kind == "out of range":
+        sets[-1].add(data.draw(st.sampled_from([-2, -1, N, N + 1]), label="outside"))
+    elif kind == "too few":
+        sets.pop()
+    elif kind == "too many":
+        sets.append(set(parity[k::k + 1]))
+    # a set may come as a reader carrying the XOR witness, right or wrong
+    return [Reader(tuple(sorted(R)), None) if data.draw(st.booleans(), label="reader")
+            else R for R in sets]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pir_is_batch_certification_of_the_k_fold_requests(data):
+    # certify_pir(G, claims, k) and certify_batch on the requests (i, ..., i)
+    # served by message i's own sets give one verdict per target, and the
+    # same problems, the batch ones after the request, for a claim of at
+    # most k sets (a batch request leaves a set past its k unchecked)
+    fld = data.draw(st.sampled_from([GF2, GF3]), label="field")
+    n = data.draw(st.integers(2, 3), label="n")
+    k = data.draw(st.integers(1, 3), label="k")
+    N = k * n + data.draw(st.integers(0, 4), label="parities")
+    element = st.integers(0, fld.q - 1)
+    parity = [[data.draw(element) for _ in range(N - k * n)] for _ in range(n)]
+    rows = tuple(tuple(int(r == c % n) for c in range(k * n)) + tuple(parity[r])
+                 for r in range(n))
+    G = GeneratorMatrix(field=fld, rows=rows, info_positions=tuple(range(n)))
+    kinds = [data.draw(st.sampled_from(CLAIM_KINDS), label=f"kind of {i}")
+             for i in range(n)]
+    claims = {i: _claim_of_kind(data, kind, i, n, N, k) for i, kind in enumerate(kinds)}
+    pir_report = certify_pir(G, claims, k)
+    assert [i for i, _ in pir_report.failures] == [
+        i for i, kind in enumerate(kinds)
+        if kind != "valid" and not (kind == "overlapping" and k == 1)]
+    requests = [(i,) * k for i in claims]
+    batch = certify_batch(G, lambda request: claims[request[0]], k, requests)
+    assert (pir_report.total, pir_report.passed) == (batch.total, batch.passed)
+    assert [i for i, _ in batch.failures] == [i for i, _ in pir_report.failures]
+    for (i, detail), (_, got) in zip(pir_report.failures, batch.failures):
+        if len(claims[i]) <= k:
+            assert got == f"{(i,) * k}: {detail}"
 
 
 FIELDS = [GF2, Field(5), Field.from_order(8), Field.from_order(9)]
