@@ -146,7 +146,7 @@ def _planner(runtime, mode, k):
 def _certify_chunk(payload):
     desc, G, mode, k, chunk = payload
     planner, positions_of = _planner(build_runtime(desc), mode, k)
-    report = verify.certify_batch(G, planner, k, chunk, positions_of=positions_of)
+    report = verify.certify_batch(G, planner, chunk, positions_of=positions_of)
     return report.total, report.passed, report.failures
 
 
@@ -182,7 +182,7 @@ def cmd_certify(args) -> int:
             results = pool.map(_certify_chunk, payloads)
     else:
         results = [_certify_chunk(payloads[0])]
-    report = verify.Report(kind=args.mode, seed=seed)
+    report = verify.Report(seed=seed)
     offset = 0
     for (total, passed, failures), chunk in zip(results, chunks):
         report.total += total

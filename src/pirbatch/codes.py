@@ -63,12 +63,14 @@ class Reader:
     @property
     def witness(self):
         """The recovery coefficients over ``positions``, one row per value
-        the reader gives: the operator's R rows, or one row of ones for an
-        XOR, as lists of ints.  `verify` checks them against the extracted
-        generator."""
+        the reader gives: the operator's R rows, as a read-only view of its
+        matrix, or one list of ones for an XOR.  `verify` stacks the rows
+        of a request's readers and checks them against the extracted
+        generator in one product; an XOR reader over GF(2) is checked on
+        the column masks instead, without its row."""
         if self.operator is None:
             return [[1] * len(self.positions)]
-        return self.operator.matrix[:self.operator.width].tolist()
+        return self.operator.matrix[:self.operator.width]
 
 
 @dataclass(frozen=True, eq=False)

@@ -231,16 +231,44 @@ class Field:
         zeros up to index 4(q - 1), so ``antilog[log[a] + log[b]]`` is a*b."""
         q = self.q
         for g in range(2, q):
-            antilog, x = [1], g
-            while x != 1:
-                antilog.append(x)
-                x = self._mul_raw(x, g)
+            antilog = self._powers(g)
             if len(antilog) == q - 1:
                 break
         log = [2 * (q - 1)] * q
         for i, x in enumerate(antilog):
             log[x] = i
         return log, antilog * 2 + [0] * (2 * q - 1)
+
+    def _powers(self, g) -> list:
+        """g^0, g^1, ... up to the power before 1 comes back.  Only the e
+        products x^i * g go through `_mul_raw`: a power times g is their
+        sum weighted by its digits, an XOR of some of them for p = 2."""
+        p, e = self.p, self.e
+        images = [self._mul_raw(p ** i, g) for i in range(e)]
+        powers, x = [1], g
+        if p == 2:
+            while x != 1:
+                powers.append(x)
+                y, i = 0, 0
+                while x:
+                    if x & 1:
+                        y ^= images[i]
+                    x >>= 1
+                    i += 1
+                x = y
+            return powers
+        rows = [self.coeffs(a) for a in images]
+        place = [p ** t for t in range(e)]
+        while x != 1:
+            powers.append(x)
+            sums = [0] * e
+            for row in rows:
+                x, c = divmod(x, p)
+                if c:
+                    for t in range(e):
+                        sums[t] += c * row[t]
+            x = sum(v % p * w for v, w in zip(sums, place))
+        return powers
 
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:

@@ -10,7 +10,11 @@ oracle below cross-checks that equivalence at tiny sizes.  A claimed set
 may carry a witness, the coefficients its construction recovers with;
 checking them against the extracted generator proves the membership
 without solving, and a witness that fails only sends the set to the
-solve.
+solve.  A request's witness rows are checked together: one gather of
+the generator's columns at its sets' positions, range-checked first,
+and one `gf.matmul` against the stacked rows.  Only XOR readers over
+GF(2), the array codes' sets, XOR the generator's column masks instead,
+so array commands never load numpy.
 """
 
 from __future__ import annotations
@@ -207,7 +211,7 @@ def is_recovering_set(G: GeneratorMatrix, i: int, R, witness=None):
     R outside [0, N), or i outside [0, n), raises ValueError."""
     if not 0 <= i < G.n:
         raise ValueError(f"targets message {i} outside [0, {G.n})")
-    return _recovery(G, _target(G, G.info_positions[i]), R, witness)
+    return _recovery(G, G.info_positions[i], R, witness)
 
 
 def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
@@ -215,7 +219,7 @@ def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
     [0, N)."""
     if not 0 <= j < G.N:
         raise ValueError(f"targets position {j} outside [0, {G.N})")
-    return _recovery(G, _target(G, j), R, witness)
+    return _recovery(G, j, R, witness)
 
 
 def _target(G, j):
@@ -225,45 +229,94 @@ def _target(G, j):
     return G.masks[j] if G.field.q == 2 else G.matrix[:, j]
 
 
-def _recovery(G, target, R, witness):
-    """``target`` is a `_target` column.  The range check comes first:
-    numpy and Python indexing would wrap a negative position onto another
-    coordinate."""
-    N = G.N
+def _check_positions(N, R):
+    """Refuse a position of R outside [0, N), naming the first in R's
+    order.  It runs before any column is read: numpy and Python indexing
+    would wrap a negative position onto another coordinate."""
     if R and not (0 <= min(R) and max(R) < N):
         bad = next(j for j in R if not 0 <= j < N)
         raise ValueError(f"reads position {bad} outside [0, {N})")
+
+
+def _recovery(G, column, R, witness):
+    """Whether R recovers generator column ``column``: a witness that is
+    |R| field elements is checked as a stack of one, then the span is
+    solved."""
+    _check_positions(G.N, R)
     if witness is not None:
-        coeffs = _checked_witness(G, target, R, witness)
-        if coeffs is not None:
+        R, coeffs = list(R), list(witness)
+        if (len(coeffs) == len(R) and linalg.in_field(coeffs, G.field.q)
+                and _witnesses_hold(G, np.array([R], dtype=np.intp),
+                                    [([coeffs], [column])])[0][0]):
             return True, dict(zip(R, coeffs))
-    return _solve_recovery(G, target, R)
+    return _solve_recovery(G, _target(G, column), R)
 
 
-def _checked_witness(G, target, R, witness):
-    """The witness as a list of field elements when it combines R's
-    columns (of the extracted generator) into ``target``, else None.
+def _witnesses_hold(G: GeneratorMatrix, index, witnesses) -> list:
+    """Whether witness rows combine the generator's columns into their
+    targets, checked all at once.
 
-    Over GF(2) the combination XORs the column masks whose coefficient
-    is 1; over other fields it is one `gf.matmul` on `G.matrix`.  A
-    witness that is not |R| elements of the field fails."""
-    coeffs = list(witness)
-    if len(coeffs) != len(R):
-        return None
+    Row s of the (sets, L) array ``index`` holds the positions of set s,
+    all in [0, N), then zeros.  ``witnesses[s]`` is (rows, columns): each
+    row has one coefficient per position of set s, and row r must
+    combine their columns into generator column ``columns[r]``; a column
+    past the last row has no witness and fails.  The rows go into one
+    zero-padded (sets, w, L) stack, so one `gf.matmul` of the gathered
+    columns against the stack and one comparison with the target columns
+    check every row; padding has coefficient 0 and adds nothing.  Rows
+    are non-negative ints, and one with an entry outside the field fails.
+    Returns one list of booleans per set, one per column."""
     fld = G.field
-    if fld.q == 2:
-        masks = G.masks
-        acc = 0
-        for j, c in zip(R, coeffs):
-            if c == 1:
-                acc ^= masks[j]
-            elif c != 0:
-                return None
-        return coeffs if acc == target else None
-    if not linalg.in_field(coeffs, fld.q):
+    w = max(len(columns) for _, columns in witnesses)
+    stack = np.zeros(index.shape[:1] + (w,) + index.shape[1:], dtype=np.int64)
+    checked = []  # how many rows of each set are stacked
+    for s, (rows, columns) in enumerate(witnesses):
+        h = min(len(rows), len(columns))
+        if h:
+            stack[s, :h, :len(rows[0])] = rows[:h]
+        checked.append(h)
+    target = np.array([[*columns, *[0] * (w - len(columns))] for _, columns in witnesses],
+                      dtype=np.intp)
+    in_field = True
+    if stack.max(initial=0) >= fld.q:
+        in_field = ~(stack >= fld.q).any(axis=2)
+        stack[~in_field] = 0  # such a row fails; its product is not read
+    combined = gf.matmul(fld, stack, G.matrix[:, index].transpose(1, 2, 0))
+    held = ((combined == G.matrix.T[target]).all(axis=2) & in_field).tolist()
+    return [ok[:h] + [False] * (len(columns) - h)
+            for ok, h, (_, columns) in zip(held, checked, witnesses)]
+
+
+def _padded(sets, N):
+    """The positions of ``sets``, each a sequence, as one (len(sets), L)
+    array, row s set s's positions then zeros, with whether they all lie
+    in [0, N) and whether no position repeats; None when a position does
+    not fit the array's integer type."""
+    lengths = [len(R) for R in sets]
+    try:
+        if min(lengths) == max(lengths):  # as the k sets of a symbol are
+            index = np.array(sets, dtype=np.intp)
+            flat = index.ravel()
+        else:
+            index = np.zeros((len(sets), max(lengths)), dtype=np.intp)
+            for s, R in enumerate(sets):
+                index[s, :len(R)] = R
+            flat = index[np.arange(index.shape[1]) < np.array(lengths)[:, None]]
+    except OverflowError:
         return None
-    combined = gf.matmul(fld, G.matrix[:, list(R)], coeffs)
-    return coeffs if np.array_equal(combined, target) else None
+    flat = np.sort(flat)
+    return (index, not flat.size or (0 <= flat[0] and flat[-1] < N),
+            not (flat[1:] == flat[:-1]).any())
+
+
+def _xor_holds(G: GeneratorMatrix, R, column) -> bool:
+    """Whether the XOR of R's GF(2) column masks is column ``column``,
+    the witness of an XOR reader, with no numpy."""
+    masks = G.masks
+    acc = 0
+    for j in R:
+        acc ^= masks[j]
+    return acc == masks[column]
 
 
 def _solve_recovery(G, target, R):
@@ -284,7 +337,6 @@ def _solve_recovery(G, target, R):
 class Report:
     """Outcome of a certification run; failures are data, not errors."""
 
-    kind: str
     total: int = 0
     passed: int = 0
     failures: list = field(default_factory=list)  # (request_id, detail)
@@ -318,11 +370,12 @@ class Report:
 
 
 def _claim(R):
-    """(positions, witness rows or None) of a claimed set.  A set of
-    positions carries no witness; a reader (`codes.Reader`) carries its
-    positions and one witness row per value it recovers."""
-    witness = getattr(R, "witness", None)
-    return (R, None) if witness is None else (R.positions, witness)
+    """(positions, reader or None) of a claimed set: a set of positions
+    has no reader; a reader (`codes.Reader`) carries its positions, its
+    operator (None for an XOR) and one witness row per value it
+    recovers."""
+    positions = getattr(R, "positions", None)
+    return (R, None) if positions is None else (positions, R)
 
 
 def _sets_disjoint(sets):
@@ -334,30 +387,83 @@ def _sets_disjoint(sets):
     return True
 
 
+def _columns(G, target, positions_of):
+    """The generator columns a set must recover for ``target``, the
+    message it names or with ``positions_of`` each of its positions, up
+    to the first outside the code, and the problem of that one (None)."""
+    if positions_of is None:
+        if 0 <= target < G.n:
+            return [G.info_positions[target]], None
+        return [], f"targets message {target} outside [0, {G.n})"
+    columns = []
+    for j in positions_of(target):
+        if not 0 <= j < G.N:
+            return columns, f"targets position {j} outside [0, {G.N})"
+        columns.append(j)
+    return columns, None
+
+
 def _claim_problems(G: GeneratorMatrix, k: int, targets, sets, positions_of):
     """The problems of a claim that k disjoint ``sets`` recover
     ``targets``, set s target s: a wrong count, an overlap, and each set
     that does not recover its target (a set past the last target is only
     counted).  A target is a message index, or with ``positions_of`` an
     id whose positions its set must recover, witness row r the r-th.
+
+    When every set is an operator reader, their positions go into one
+    padded index, tested for range and overlap as a whole; only a claim
+    that fails either takes the per-set tests, which name the position.
+    No column is read before its set's range test.  The witness rows of
+    operator readers, and of XOR readers off GF(2), are then checked in
+    one `_witnesses_hold` product; an XOR reader over GF(2) XORs the
+    column masks (`_xor_holds`), so array codes never load numpy.  Only a
+    value whose witness fails, or that has none, has its span solved.
     The problems joined by "; ", or None when there are none."""
     problems = []
     if len(sets) != k:
         problems.append(f"expected {k} sets, got {len(sets)}")
     sets = [_claim(R) for R in sets]
-    if not _sets_disjoint(R for R, _ in sets):
+    N = G.N
+    index, in_range, disjoint = None, False, False
+    if sets and all(r is not None and r.operator is not None for _, r in sets):
+        index, in_range, disjoint = (_padded([R for R, _ in sets], N)
+                                     or (None, False, False))
+    if not disjoint and not _sets_disjoint(R for R, _ in sets):
         problems.append("sets overlap")
-    for si, ((R, witness), target) in enumerate(zip(sets, targets)):
+    checks, stacked = [], []
+    for si, ((R, reader), target) in enumerate(zip(sets, targets)):
         try:
-            if positions_of is None:
-                if not is_recovering_set(G, target, R, _row(witness, 0))[0]:
-                    problems.append(f"set {si} does not recover message {target}")
-                continue
-            for r, j in enumerate(positions_of(target)):
-                if not is_recovering_position(G, j, R, _row(witness, r))[0]:
-                    problems.append(f"set {si} does not recover position {j}")
+            columns, error = _columns(G, target, positions_of)
+            if columns and not in_range:
+                _check_positions(N, R)  # before the first column is checked
         except ValueError as exc:
-            problems.append(f"set {si} {exc}")
+            columns, error = [], str(exc)
+        held = [False] * len(columns)
+        if reader is not None and columns:
+            if reader.operator is None and G.field.q == 2:
+                held[0] = _xor_holds(G, R, columns[0])
+            else:
+                rows = reader.witness
+                if len(rows) and len(rows[0]) == len(R):  # else every row fails
+                    stacked.append((si, held, (rows, columns)))
+        checks.append((R, target, columns, held, error))
+    if stacked:
+        ids = [si for si, _, _ in stacked]
+        if index is None:
+            index = _padded([sets[si][0] for si in ids], N)[0]
+        elif len(ids) < len(index):
+            index = index[ids]
+        for (_, held, _), ok in zip(stacked, _witnesses_hold(
+                G, index, [witness for _, _, witness in stacked])):
+            held[:] = ok
+    for si, (R, target, columns, held, error) in enumerate(checks):
+        for column, ok in zip(columns, held):
+            if not ok and not _solve_recovery(G, _target(G, column), R)[0]:
+                what = (f"message {target}" if positions_of is None
+                        else f"position {column}")
+                problems.append(f"set {si} does not recover {what}")
+        if error:
+            problems.append(f"set {si} {error}")
     return "; ".join(problems) or None
 
 
@@ -370,15 +476,14 @@ def certify_pir(G: GeneratorMatrix, claims, k: int) -> Report:
     any span is solved.  A position outside [0, N) fails the claim.  These
     are `certify_batch`'s checks of the request (i, ..., i), keyed by i.
     """
-    report = Report(kind="pir")
+    report = Report()
     for target, sets in claims.items():
         report.record(target, _claim_problems(G, k, itertools.repeat(target),
                                               sets, None))
     return report
 
 
-def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
-                  positions_of=None) -> Report:
+def certify_batch(G: GeneratorMatrix, planner, requests, positions_of=None) -> Report:
     """Run the planner on every request and check validity plus pairwise
     disjointness of the returned sets, one per request entry in sorted
     order.
@@ -391,7 +496,7 @@ def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
     the request.  A failure's detail is the request, then the problems
     in `certify_pir`'s words.
     """
-    report = Report(kind="batch")
+    report = Report()
     for rid, request in enumerate(requests):
         try:
             sets = planner(request)
@@ -401,11 +506,6 @@ def certify_batch(G: GeneratorMatrix, planner, k: int, requests,
         detail = _claim_problems(G, len(request), sorted(request), sets, positions_of)
         report.record(rid, detail and f"{request}: {detail}")
     return report
-
-
-def _row(witness, r):
-    """Witness row r, or None when there is none to check."""
-    return None if witness is None or r >= len(witness) else witness[r]
 
 
 def enumerate_requests(num_targets: int, k: int,

@@ -689,11 +689,23 @@ def test_certify_checks_witnesses_without_solving(name, tmp_path, capsys, monkey
     from pirbatch import verify
 
     solves, hits = [], []
-    check = verify._checked_witness
+    stacked, xor = verify._witnesses_hold, verify._xor_holds
+
+    def stacked_hits(*args):
+        held = stacked(*args)
+        hits.extend(ok for row in held for ok in row)
+        return held
+
+    def xor_hits(*args):
+        hits.append(xor(*args))
+        return hits[-1]
+
+    # witness checks go through the stacked product or, for XOR readers
+    # over GF(2), the column masks; each checked row records its verdict
     monkeypatch.setattr(verify, "_solve_recovery",
                         lambda *args: solves.append(args) or (False, None))
-    monkeypatch.setattr(verify, "_checked_witness",
-                        lambda *args: hits.append(check(*args)) or hits[-1])
+    monkeypatch.setattr(verify, "_witnesses_hold", stacked_hits)
+    monkeypatch.setattr(verify, "_xor_holds", xor_hits)
     build, k = FAST_PATH_CODES[name]
     desc = str(tmp_path / "code.json")
     assert run(["build", *build, "-o", desc]) == 0
@@ -702,12 +714,12 @@ def test_certify_checks_witnesses_without_solving(name, tmp_path, capsys, monkey
         runs.append(["--mode", "batch", "--k", str(k), "--limit", "60"])
     for args in runs:
         assert run(["certify", desc, *args]) == 0, args
-    assert not solves and hits and all(h is not None for h in hits)
+    assert not solves and hits and all(hits)
     if name == "array-five":
         # a request the 5-batch matcher serves through the global-parity
         # fallback, whose support is an XOR found by a GF(2) solve
         code = codes.build_runtime(json.loads(open(desc).read()))
         G = verify.extract_generator(code.field, code.encode, code.n, code.N)
-        report = verify.certify_batch(G, code.batch_planner(5), 5, [(0, 0, 0, 1, 1)])
+        report = verify.certify_batch(G, code.batch_planner(5), [(0, 0, 0, 1, 1)])
         assert report.ok and not solves
     capsys.readouterr()

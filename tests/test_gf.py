@@ -4,7 +4,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pirbatch import gf, linalg
@@ -279,6 +279,50 @@ def test_the_non_primitive_modulus_has_a_root_of_order_5():
     for _ in range(5):
         powers.append(f._mul_raw(powers[-1], x))
     assert powers[5] == 1 and 1 not in powers[1:5]
+
+
+def _tables_by_products(f):
+    """The log tables built with one `_mul_raw` product per power of each
+    candidate, the definition the table build must match."""
+    q = f.q
+    for g in range(2, q):
+        antilog, x = [1], g
+        while x != 1:
+            antilog.append(x)
+            x = f._mul_raw(x, g)
+        if len(antilog) == q - 1:
+            break
+    log = [2 * (q - 1)] * q
+    for i, x in enumerate(antilog):
+        log[x] = i
+    return log, antilog * 2 + [0] * (2 * q - 1)
+
+
+# GF(4) .. GF(256), GF(3^9), and the modulus whose root x is not primitive
+TABLE_BUILD_FIELDS = [Field(2, e) for e in range(2, 9)] + [Field(3, 9), TABLE_FIELDS[-1]]
+
+
+@pytest.mark.parametrize("f", TABLE_BUILD_FIELDS, ids=repr)
+def test_the_table_build_matches_the_polynomial_products(f):
+    f = Field(f.p, f.e, f.modulus)  # a fresh field, whose tables are not built yet
+    assert f._tables == _tables_by_products(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (2, 5), (3, 2), (3, 4), (5, 3), (7, 2)]),
+       st.data())
+def test_the_table_build_matches_under_any_irreducible_modulus(shape, data):
+    p, e = shape
+    low = data.draw(st.lists(st.integers(0, p - 1), min_size=e, max_size=e), label="low")
+    assume(gf._is_irreducible((*low, 1), p))
+    f = Field(p, e, modulus=[*low, 1])
+    assert f._tables == _tables_by_products(f)
+
+
+def test_the_table_build_finds_the_first_primitive_element_past_x():
+    f = Field(2, 4, modulus=[1, 1, 1, 1, 1])
+    log, antilog = f._tables
+    assert antilog[1] == 3 and sorted(antilog[:15]) == list(range(1, 16))
 
 
 def _elements(f):

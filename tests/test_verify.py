@@ -250,7 +250,7 @@ def test_certify_batch_reduces_to_pir_at_k1():
         return [pir_sets_for_bit(params, divmod(target, 5))[0]]
 
     requests, seed, sampled = enumerate_requests(15, 1)
-    report = certify_batch(G, planner, 1, requests)
+    report = certify_batch(G, planner, requests)
     assert report.ok and report.total == 15 and not sampled
 
 
@@ -260,7 +260,7 @@ def test_certify_batch_detects_bad_planner():
     def planner(request):
         return [{0}, {0}]  # overlapping, and wrong targets
 
-    report = certify_batch(G, planner, 2, [(1, 2)])
+    report = certify_batch(G, planner, [(1, 2)])
     assert not report.ok
 
 
@@ -390,9 +390,9 @@ def test_positions_outside_the_code_fail_the_claim(fld):
     assert dict(report.failures) == {
         -1: "set 0 targets message -1 outside [0, 2); "
             "set 1 targets message -1 outside [0, 2)"}
-    report = certify_batch(G, lambda request: [{-1}], 1, [(0,)])
+    report = certify_batch(G, lambda request: [{-1}], [(0,)])
     assert report.failures == [(0, "(0,): set 0 reads position -1 outside [0, 3)")]
-    report = certify_batch(G, lambda request: [{0}], 1, [(0,)],
+    report = certify_batch(G, lambda request: [{0}], [(0,)],
                            positions_of=lambda t: (0, -1))
     assert report.failures == [
         (0, "(0,): set 0 targets position -1 outside [0, 3)")]
@@ -402,17 +402,22 @@ def test_positions_outside_the_code_fail_the_claim(fld):
         assert check(G, target, (2,), witness=[1])[0]
 
 
-CLAIM_KINDS = ("valid", "overlapping", "wrong target", "out of range",
-               "too few", "too many")
+CLAIM_KINDS = ("valid", "operator readers", "overlapping", "wrong target",
+               "out of range", "too few", "too many")
 
 
-def _claim_of_kind(data, kind, i, n, N, k):
+def _claim_of_kind(data, fld, kind, i, n, N, k):
     """Message i's claimed sets in a code whose columns c*n + t, c < k,
     are all message t's unit column and whose columns from k*n on are
     random parities: ``kind`` says how the k sets {c*n + i} are spoiled,
-    after each set takes some parity columns of its own."""
+    after each set takes some parity columns of its own.  "operator
+    readers" spoils nothing: every set comes as an operator reader whose
+    witness reads message i off its unit column."""
     parity = data.draw(st.permutations(range(k * n, N)), label="parity order")
     sets = [{c * n + i, *parity[c::k + 1]} for c in range(k)]
+    if kind == "operator readers":
+        return [Reader(tuple(sorted(R)), pir.RecoveryOperator(
+            fld, 1, [[int(j % n == i and j < k * n) for j in sorted(R)]])) for R in sets]
     if kind == "overlapping" and k > 1:
         sets[1].add(min(sets[0]))
     elif kind == "wrong target":
@@ -423,9 +428,22 @@ def _claim_of_kind(data, kind, i, n, N, k):
         sets.pop()
     elif kind == "too many":
         sets.append(set(parity[k::k + 1]))
-    # a set may come as a reader carrying the XOR witness, right or wrong
-    return [Reader(tuple(sorted(R)), None) if data.draw(st.booleans(), label="reader")
-            else R for R in sets]
+    # a set may come as a reader carrying the XOR witness, right or wrong,
+    # or as an operator reader with a random witness row
+    return [_as_reader(data, fld, R) for R in sets]
+
+
+def _as_reader(data, fld, R):
+    """R as drawn: the set itself, an XOR reader or an operator reader."""
+    form = data.draw(st.sampled_from(["set", "xor", "operator"]), label="form")
+    if form == "set":
+        return R
+    positions = tuple(sorted(R))
+    if form == "xor":
+        return Reader(positions, None)
+    row = data.draw(st.lists(st.integers(0, fld.q - 1), min_size=len(positions),
+                             max_size=len(positions)), label="witness")
+    return Reader(positions, pir.RecoveryOperator(fld, 1, [row]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -446,18 +464,151 @@ def test_pir_is_batch_certification_of_the_k_fold_requests(data):
     G = GeneratorMatrix(field=fld, rows=rows, info_positions=tuple(range(n)))
     kinds = [data.draw(st.sampled_from(CLAIM_KINDS), label=f"kind of {i}")
              for i in range(n)]
-    claims = {i: _claim_of_kind(data, kind, i, n, N, k) for i, kind in enumerate(kinds)}
+    claims = {i: _claim_of_kind(data, fld, kind, i, n, N, k)
+              for i, kind in enumerate(kinds)}
     pir_report = certify_pir(G, claims, k)
     assert [i for i, _ in pir_report.failures] == [
         i for i, kind in enumerate(kinds)
-        if kind != "valid" and not (kind == "overlapping" and k == 1)]
+        if kind not in ("valid", "operator readers")
+        and not (kind == "overlapping" and k == 1)]
     requests = [(i,) * k for i in claims]
-    batch = certify_batch(G, lambda request: claims[request[0]], k, requests)
+    batch = certify_batch(G, lambda request: claims[request[0]], requests)
     assert (pir_report.total, pir_report.passed) == (batch.total, batch.passed)
     assert [i for i, _ in batch.failures] == [i for i, _ in pir_report.failures]
     for (i, detail), (_, got) in zip(pir_report.failures, batch.failures):
         if len(claims[i]) <= k:
             assert got == f"{(i,) * k}: {detail}"
+
+
+def _solved_problems(G, k, targets, sets, positions_of):
+    """The problems of a claim through one `is_recovering_set` or
+    `is_recovering_position` call per (set, value) without a witness, so
+    every span is solved: the checker's definition, in its words."""
+    problems = []
+    if len(sets) != k:
+        problems.append(f"expected {k} sets, got {len(sets)}")
+    positions = [getattr(R, "positions", R) for R in sets]
+    seen, overlap = set(), False
+    for P in positions:
+        overlap = overlap or not seen.isdisjoint(P)
+        seen.update(P)
+    if overlap:
+        problems.append("sets overlap")
+    for si, (P, target) in enumerate(zip(positions, targets)):
+        try:
+            if positions_of is None:
+                if not is_recovering_set(G, target, P)[0]:
+                    problems.append(f"set {si} does not recover message {target}")
+                continue
+            for j in positions_of(target):
+                if not is_recovering_position(G, j, P)[0]:
+                    problems.append(f"set {si} does not recover position {j}")
+        except ValueError as exc:
+            problems.append(f"set {si} {exc}")
+    return "; ".join(problems) or None
+
+
+READER_KINDS = ("set", "xor", "right", "random", "outside", "length")
+
+
+def _claimed_set(data, G, positions, columns):
+    """A claimed set over ``positions`` that must recover generator
+    ``columns``: a plain set, an XOR reader, or an operator reader whose
+    witness rows are the solver's coefficients ("right"), random, right
+    but for one entry in [q, 256) ("outside"), or right but one entry
+    longer or shorter ("length"), with random check rows below them.
+    Returns (set, kind)."""
+    fld, q = G.field, G.field.q
+    kind = data.draw(st.sampled_from(READER_KINDS), label="reader kind")
+    if kind == "set":
+        return frozenset(positions), kind
+    if kind == "xor":
+        return Reader(positions, None), kind
+    element = st.integers(0, q - 1)
+    width = len(positions)
+    rows = []
+    for j in columns or [0]:
+        row = [data.draw(element) for _ in positions]
+        if kind != "random" and all(0 <= p < G.N for p in positions):
+            ok, coeffs = is_recovering_position(G, j, positions)
+            if ok:  # each coefficient once, at the first copy of its position
+                row = [coeffs.pop(p, 0) for p in positions]
+        rows.append(row)
+    if kind == "outside" and width:
+        t = data.draw(st.integers(0, width - 1), label="outside entry")
+        rows[0][t] = data.draw(st.integers(q, 255), label="outside value")
+    if kind == "length":
+        shorter = width and data.draw(st.booleans(), label="shorter")
+        rows = [row[:-1] if shorter else row + [data.draw(element)] for row in rows]
+    checks = data.draw(st.integers(0, 2), label="check rows")
+    rows += [[data.draw(element) for _ in rows[0]] for _ in range(checks)]
+    return Reader(positions, pir.RecoveryOperator(fld, len(columns or [0]), rows)), kind
+
+
+CHECK_FIELDS = [GF2, GF3, Field.from_order(8), Field.from_order(9)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_stacked_witness_checks_match_the_solver(data):
+    # certify_batch checks a request's witness rows in one stacked product;
+    # its verdict and details equal those of solving every span, for right
+    # and wrong witnesses, positions outside [0, N), overlapping sets, too
+    # few or too many sets and readers mixed with plain sets; a claim of
+    # right operator readers solves nothing
+    fld = data.draw(st.sampled_from(CHECK_FIELDS), label="field")
+    n = data.draw(st.integers(1, 3), label="n")
+    N = n + data.draw(st.integers(0, 4), label="parities")
+    order = data.draw(st.permutations(range(N)), label="column order")
+    element = st.integers(0, fld.q - 1)
+    cols = [[int(r == c) for r in range(n)] if c < n
+            else [data.draw(element) for _ in range(n)] for c in range(N)]
+    G = GeneratorMatrix(field=fld, rows=tuple(tuple(cols[c][r] for c in order)
+                                              for r in range(n)),
+                        info_positions=tuple(order.index(c) for c in range(n)))
+    k = data.draw(st.integers(1, 3), label="k")
+    position = st.integers(0, N - 1)
+    if data.draw(st.booleans(), label="position targets"):
+        wanted = {t: tuple(data.draw(st.lists(position | st.sampled_from([-1, N]),
+                                              min_size=1, max_size=2), label="positions"))
+                  for t in range(3)}
+        positions_of = wanted.__getitem__
+        request = tuple(data.draw(st.lists(st.integers(0, 2), min_size=k, max_size=k)))
+    else:
+        positions_of = None
+        request = tuple(data.draw(st.lists(st.integers(-1, n), min_size=k, max_size=k)))
+    targets = sorted(request)
+    sets, kinds = [], []
+    for si in range(data.draw(st.sampled_from([k, k, k, k - 1, k + 1]), label="sets")):
+        positions = data.draw(st.lists(position, max_size=N), label="set")
+        if data.draw(st.integers(0, 5), label="outside?") == 0:
+            positions.insert(data.draw(st.integers(0, len(positions))),
+                             data.draw(st.sampled_from([-2, -1, N, N + 1, 2 ** 64])))
+        columns = []
+        if si < k:
+            t = targets[si]
+            if positions_of is None:
+                columns = [G.info_positions[t]] if 0 <= t < n else []
+            else:
+                columns = list(itertools.takewhile(lambda j: 0 <= j < N, positions_of(t)))
+        R, kind = _claimed_set(data, G, tuple(positions), columns)
+        sets.append(R)
+        kinds.append(kind)
+    want = _solved_problems(G, k, targets, sets, positions_of)
+    report = certify_batch(G, lambda request: sets, [request], positions_of)
+    assert report.failures == ([] if want is None else [(0, f"{request}: {want}")])
+    if positions_of is None and len(set(request)) == 1:
+        assert dict(certify_pir(G, {request[0]: sets}, k).failures).get(request[0]) == (
+            _solved_problems(G, k, itertools.repeat(request[0]), sets, None))
+    if want is None and set(kinds) == {"right"}:
+        with unittest.mock.patch.object(verify, "_solve_recovery", _no_solve):
+            assert certify_batch(G, lambda request: sets, [request], positions_of).ok
+    if positions_of is None:
+        # the solver against the functional definition, at these tiny sizes
+        for P, t in zip(sets, targets):
+            P = getattr(P, "positions", P)
+            if 0 <= t < n and all(0 <= j < N for j in P):
+                assert is_recovering_set(G, t, P)[0] == functional_recovery_oracle(G, t, P)
 
 
 FIELDS = [GF2, Field(5), Field.from_order(8), Field.from_order(9)]
