@@ -3,7 +3,10 @@ recovery round trips, certify availability properties, and emit the
 redundancy trade-off curves as CSV data.
 
 Exit codes: 0 success, 1 certification failure or recovery mismatch,
-2 usage or parse errors, a malformed or oversized descriptor among them.
+2 usage or parse errors, a malformed or oversized descriptor among them,
+3 a computation that could not complete (any other RuntimeError: a batch
+planner out of options, no irreducible polynomial, a rank-deficient
+generator map).
 All randomized outputs record their seed.
 """
 
@@ -134,10 +137,11 @@ def _load_descriptor(path) -> dict:
 
 def _planner(runtime, mode, k):
     """(planner, positions_of) that certify checks a mode's requests with.
-    A PIR request (i, ..., i) is served by symbol i's own readers; a
-    batch planner refuses a k it cannot serve with ValueError."""
+    A PIR request (i, ..., i) is served by symbol i's own `Recovery`,
+    whose index and stack certify reads; a batch planner refuses a k it
+    cannot serve with ValueError."""
     if mode == "pir":
-        return (lambda request: runtime.recovery(request[0]).readers), None
+        return (lambda request: runtime.recovery(request[0])), None
     if runtime.batch_planner is None:
         raise ValueError(f"{runtime.family} has no batch planner")
     return runtime.batch_planner(k), runtime.positions_of
@@ -384,6 +388,9 @@ def main(argv=None) -> int:
     except DecodeFailure as exc:
         print(f"decode failure: {exc}", file=sys.stderr)
         return 1
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,22 +55,11 @@ class Reader:
     """How one recovering set gives one information symbol: the codeword
     positions it reads, in the order of the operator's columns, and a
     `pir.RecoveryOperator` of width 1 over the code's field, or None for
-    the XOR of the positions read."""
+    the XOR of the positions read.  The operator's R rows, or for an XOR
+    a row of ones, are the witness `verify` checks the set against."""
 
     positions: Collection
     operator: pir.RecoveryOperator | None
-
-    @property
-    def witness(self):
-        """The recovery coefficients over ``positions``, one row per value
-        the reader gives: the operator's R rows, as a read-only view of its
-        matrix, or one list of ones for an XOR.  `verify` stacks the rows
-        of a request's readers and checks them against the extracted
-        generator in one product; an XOR reader over GF(2) is checked on
-        the column masks instead, without its row."""
-        if self.operator is None:
-            return [[1] * len(self.positions)]
-        return self.operator.matrix[:self.operator.width]
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,7 +70,10 @@ class Recovery:
     matrices, zero-padded where readers differ in shape (a zero column
     adds nothing, a zero row always vanishes).  Both are built on first
     use and kept with the code's recovery; the stack is also shared by
-    every symbol whose readers have the same operators."""
+    every symbol whose readers have the same operators.  `recover_all`
+    reads a codeword through them, and `verify` certifies the symbol's
+    claim from the same two arrays, which `certify --mode pir` hands it
+    as the claim."""
 
     readers: tuple
 

@@ -46,6 +46,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1, by trial division."""
+    out, f = [], 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    return out + [n] if n > 1 else out
+
+
 def smallest_prime_above(bound: int) -> int:
     """The least prime strictly greater than ``bound``."""
     if bound < 1:
@@ -230,14 +242,26 @@ class Field:
         ``log[0] = 2(q - 1)``, and ``antilog`` is g^0 .. g^(2q - 3), then
         zeros up to index 4(q - 1), so ``antilog[log[a] + log[b]]`` is a*b."""
         q = self.q
-        for g in range(2, q):
-            antilog = self._powers(g)
-            if len(antilog) == q - 1:
-                break
+        # g is primitive when no g^((q - 1) / r), r a prime factor of q - 1,
+        # is 1; only the first such g has its powers built
+        cofactors = [(q - 1) // r for r in _prime_factors(q - 1)]
+        g = next(g for g in range(2, q)
+                 if all(self._pow_raw(g, c) != 1 for c in cofactors))
+        antilog = self._powers(g)
         log = [2 * (q - 1)] * q
         for i, x in enumerate(antilog):
             log[x] = i
         return log, antilog * 2 + [0] * (2 * q - 1)
+
+    def _pow_raw(self, a: int, n: int) -> int:
+        # a^n by squaring through `_mul_raw`, before the tables exist
+        out = 1
+        while n:
+            if n & 1:
+                out = self._mul_raw(out, a)
+            a = self._mul_raw(a, a)
+            n >>= 1
+        return out
 
     def _powers(self, g) -> list:
         """g^0, g^1, ... up to the power before 1 comes back.  Only the e

@@ -8,7 +8,8 @@ a multiplicity code.  `row_echelon_with_combos` serves only
 `solve_by_elimination`, the pure-Python oracle of `solve_in_span`.
 `solve_in_span_gf2` solves on GF(2) bitmasks without numpy;
 `pack_words` and `unpack_words` are the one conversion between words
-(ints whose bit b is entry b) and 0/1 arrays.  `_symbols` and `in_field`
+(ints whose bit b is entry b) and 0/1 arrays, and `word_lanes` lays the
+same words out as uint64 lanes.  `_symbols` and `in_field`
 check that a vector's entries lie in [0, q).  `check_generator_size`
 refuses a dense generator above `MAX_GENERATOR_ENTRIES` before it is
 built.
@@ -160,14 +161,25 @@ def solve_by_elimination(field, columns, target):
     return coeffs
 
 
+def _word_bytes(words, width):
+    """Each word as ``width`` bytes, little-endian: a (len(words), width)
+    uint8 array.  A word must fit."""
+    return np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words),
+                         dtype=np.uint8).reshape(len(words), width)
+
+
 def unpack_words(words, t):
     """The low t bits of each word, bit 0 first, as a (len(words), t)
     uint8 array of 0 and 1: row j holds word j.  A word must fit in
     ceil(t / 8) bytes.  The inverse of `pack_words`."""
-    width = (t + 7) // 8
-    raw = np.frombuffer(b"".join(w.to_bytes(width, "little") for w in words),
-                        dtype=np.uint8).reshape(len(words), width)
-    return np.unpackbits(raw, axis=1, count=t, bitorder="little")
+    return np.unpackbits(_word_bytes(words, (t + 7) // 8), axis=1, count=t,
+                         bitorder="little")
+
+
+def word_lanes(words, t):
+    """Words of t bits as ceil(t / 64) uint64 lanes each, lane l holding
+    bits 64l to 64l + 63: a (len(words), ceil(t / 64)) array."""
+    return _word_bytes(words, 8 * -(-t // 64)).view("<u8")
 
 
 def pack_words(bits) -> list:

@@ -10,9 +10,13 @@ oracle below cross-checks that equivalence at tiny sizes.  A claimed set
 may carry a witness, the coefficients its construction recovers with;
 checking them against the extracted generator proves the membership
 without solving, and a witness that fails only sends the set to the
-solve.  A request's witness rows are checked together: one gather of
-the generator's columns at its sets' positions, range-checked first,
-and one `gf.matmul` against the stacked rows.  Only XOR readers over
+solve.  Certification checks its claims a chunk at a time (`_Checker`):
+the positions of every claimed reader with witness rows go into one
+index, a `codes.Recovery`'s own when the claim is one, tested for range
+once and for overlaps by one row-wise sort, and every witness row is
+checked in one call, over GF(2) as XORs of the generator's packed column
+words, otherwise as one `gf.matmul`.  Only a claim the chunk does not
+pass is diagnosed set by set, in the same words.  XOR readers over
 GF(2), the array codes' sets, XOR the generator's column masks instead,
 so array commands never load numpy.
 """
@@ -30,6 +34,11 @@ from .gf import CapacityError, np
 MIN_DISTANCE_GUARD = 2 * 10 ** 7
 FUNCTIONAL_ORACLE_GUARD = 10 ** 4
 DEFAULT_REQUEST_LIMIT = 10 ** 6
+# Gathered generator entries per chunk of claims checked together (one
+# column word per 64 rows over GF(2), n field elements otherwise): a
+# certification holds one chunk's arrays at a time, however many
+# requests it checks.
+CHUNK_ENTRIES = 1 << 17
 
 
 class GeneratorMatrix:
@@ -39,9 +48,9 @@ class GeneratorMatrix:
     It keeps one form, the one it was built with: its rows as a read-only
     array in the narrowest unsigned type (`matrix`, from the rows it is
     given, which it copies), or over GF(2) its column bitmasks (`masks`,
-    by `from_masks`).  The other form, and the rows as tuples, are derived
-    on first use and kept; rows and masks convert through `linalg`'s word
-    packer."""
+    by `from_masks`).  The other form, the rows as tuples and over GF(2)
+    the masks as uint64 words (`words`) are derived on first use and
+    kept; rows, masks and words convert through `linalg`'s word packer."""
 
     def __init__(self, field, rows, info_positions):
         self.field = field
@@ -66,6 +75,14 @@ class GeneratorMatrix:
     def masks(self) -> tuple:
         """Column j over GF(2) as an int whose bit r is its entry in row r."""
         return tuple(linalg.pack_words(self.matrix.T))
+
+    @cached_property
+    def words(self):
+        """Column j over GF(2) as ceil(n / 64) uint64 words, row r at bit
+        r % 64 of word r // 64: a read-only (N, ceil(n / 64)) array."""
+        out = linalg.word_lanes(self.masks, self.n)
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def rows(self) -> tuple:
@@ -247,66 +264,42 @@ def _recovery(G, column, R, witness):
         R, coeffs = list(R), list(witness)
         if (len(coeffs) == len(R) and linalg.in_field(coeffs, G.field.q)
                 and _witnesses_hold(G, np.array([R], dtype=np.intp),
-                                    [([coeffs], [column])])[0][0]):
+                                    np.array([[coeffs]], dtype=np.int64),
+                                    np.array([[column]], dtype=np.intp))[0, 0]):
             return True, dict(zip(R, coeffs))
     return _solve_recovery(G, _target(G, column), R)
 
 
-def _witnesses_hold(G: GeneratorMatrix, index, witnesses) -> list:
+def _witnesses_hold(G: GeneratorMatrix, index, stack, target):
     """Whether witness rows combine the generator's columns into their
     targets, checked all at once.
 
     Row s of the (sets, L) array ``index`` holds the positions of set s,
-    all in [0, N), then zeros.  ``witnesses[s]`` is (rows, columns): each
-    row has one coefficient per position of set s, and row r must
-    combine their columns into generator column ``columns[r]``; a column
-    past the last row has no witness and fails.  The rows go into one
-    zero-padded (sets, w, L) stack, so one `gf.matmul` of the gathered
-    columns against the stack and one comparison with the target columns
-    check every row; padding has coefficient 0 and adds nothing.  Rows
-    are non-negative ints, and one with an entry outside the field fails.
-    Returns one list of booleans per set, one per column."""
+    all in [0, N), then zeros; ``stack[s]`` holds its w witness rows, one
+    non-negative coefficient per position and 0 under the padding, and
+    row r must combine set s's columns into generator column
+    ``target[s, r]``.  A row whose target is -1 is padding and holds; a
+    row with an entry outside the field fails.  Over GF(2) a row XORs the
+    packed column words (`GeneratorMatrix.words`) its ones select, so the
+    gathered block is one word per 64 rows of a column; other fields take
+    one `gf.matmul` of the stack against the gathered columns.  Returns a
+    (sets, w) boolean array."""
     fld = G.field
-    w = max(len(columns) for _, columns in witnesses)
-    stack = np.zeros(index.shape[:1] + (w,) + index.shape[1:], dtype=np.int64)
-    checked = []  # how many rows of each set are stacked
-    for s, (rows, columns) in enumerate(witnesses):
-        h = min(len(rows), len(columns))
-        if h:
-            stack[s, :h, :len(rows[0])] = rows[:h]
-        checked.append(h)
-    target = np.array([[*columns, *[0] * (w - len(columns))] for _, columns in witnesses],
-                      dtype=np.intp)
     in_field = True
     if stack.max(initial=0) >= fld.q:
-        in_field = ~(stack >= fld.q).any(axis=2)
-        stack[~in_field] = 0  # such a row fails; its product is not read
-    combined = gf.matmul(fld, stack, G.matrix[:, index].transpose(1, 2, 0))
-    held = ((combined == G.matrix.T[target]).all(axis=2) & in_field).tolist()
-    return [ok[:h] + [False] * (len(columns) - h)
-            for ok, h, (_, columns) in zip(held, checked, witnesses)]
-
-
-def _padded(sets, N):
-    """The positions of ``sets``, each a sequence, as one (len(sets), L)
-    array, row s set s's positions then zeros, with whether they all lie
-    in [0, N) and whether no position repeats; None when a position does
-    not fit the array's integer type."""
-    lengths = [len(R) for R in sets]
-    try:
-        if min(lengths) == max(lengths):  # as the k sets of a symbol are
-            index = np.array(sets, dtype=np.intp)
-            flat = index.ravel()
-        else:
-            index = np.zeros((len(sets), max(lengths)), dtype=np.intp)
-            for s, R in enumerate(sets):
-                index[s, :len(R)] = R
-            flat = index[np.arange(index.shape[1]) < np.array(lengths)[:, None]]
-    except OverflowError:
-        return None
-    flat = np.sort(flat)
-    return (index, not flat.size or (0 <= flat[0] and flat[-1] < N),
-            not (flat[1:] == flat[:-1]).any())
+        in_field = (stack < fld.q).all(axis=2)
+        stack = np.where(in_field[..., None], stack, 0)  # such a row fails
+    if fld.q == 2:
+        words = G.words
+        gathered = np.take(words, index, axis=0)  # (sets, L, words)
+        combined = np.stack([np.bitwise_xor.reduce(gathered * (stack[:, r] == 1)[..., None],
+                                                   axis=1)
+                             for r in range(stack.shape[1])], axis=1)
+        want = np.take(words, target, axis=0)
+    else:
+        combined = gf.matmul(fld, stack, np.take(G.matrix, index, axis=1).transpose(1, 2, 0))
+        want = np.take(G.matrix, target, axis=1).transpose(1, 2, 0)
+    return (combined == want).all(axis=2) & in_field | (target < 0)
 
 
 def _xor_holds(G: GeneratorMatrix, R, column) -> bool:
@@ -371,9 +364,10 @@ class Report:
 
 def _claim(R):
     """(positions, reader or None) of a claimed set: a set of positions
-    has no reader; a reader (`codes.Reader`) carries its positions, its
-    operator (None for an XOR) and one witness row per value it
-    recovers."""
+    has no reader; a reader (`codes.Reader`) carries its positions and
+    its operator, whose first ``width`` rows are its witness, one row per
+    value it recovers, or None for an XOR, whose witness is one row of
+    ones."""
     positions = getattr(R, "positions", None)
     return (R, None) if positions is None else (positions, R)
 
@@ -403,108 +397,271 @@ def _columns(G, target, positions_of):
     return columns, None
 
 
-def _claim_problems(G: GeneratorMatrix, k: int, targets, sets, positions_of):
-    """The problems of a claim that k disjoint ``sets`` recover
-    ``targets``, set s target s: a wrong count, an overlap, and each set
-    that does not recover its target (a set past the last target is only
-    counted).  A target is a message index, or with ``positions_of`` an
-    id whose positions its set must recover, witness row r the r-th.
+@dataclass(slots=True)
+class _Claim:
+    """A claim waiting for its chunk's check: ``checks`` holds one
+    (positions, target, columns, held, error, witness rows, stacked rows)
+    tuple per set.  A set checked without the chunk's arrays has its
+    verdicts in ``held`` and None for the last two; a set with a row of
+    the arrays has ``held`` None and stacks its first ``stacked rows``
+    witness rows.  ``recovery`` is the claimed `codes.Recovery` when all
+    its readers carry operators, and ``fast`` says that the chunk's
+    verdict alone can pass the claim.  A claim whose planner failed has
+    only its ``detail``."""
 
-    When every set is an operator reader, their positions go into one
-    padded index, tested for range and overlap as a whole; only a claim
-    that fails either takes the per-set tests, which name the position.
-    No column is read before its set's range test.  The witness rows of
-    operator readers, and of XOR readers off GF(2), are then checked in
-    one `_witnesses_hold` product; an XOR reader over GF(2) XORs the
-    column masks (`_xor_holds`), so array codes never load numpy.  Only a
-    value whose witness fails, or that has none, has its span solved.
-    The problems joined by "; ", or None when there are none."""
-    problems = []
-    if len(sets) != k:
-        problems.append(f"expected {k} sets, got {len(sets)}")
-    sets = [_claim(R) for R in sets]
-    N = G.N
-    index, in_range, disjoint = None, False, False
-    if sets and all(r is not None and r.operator is not None for _, r in sets):
-        index, in_range, disjoint = (_padded([R for R, _ in sets], N)
-                                     or (None, False, False))
-    if not disjoint and not _sets_disjoint(R for R, _ in sets):
-        problems.append("sets overlap")
-    checks, stacked = [], []
-    for si, ((R, reader), target) in enumerate(zip(sets, targets)):
-        try:
-            columns, error = _columns(G, target, positions_of)
-            if columns and not in_range:
-                _check_positions(N, R)  # before the first column is checked
-        except ValueError as exc:
-            columns, error = [], str(exc)
-        held = [False] * len(columns)
-        if reader is not None and columns:
-            if reader.operator is None and G.field.q == 2:
-                held[0] = _xor_holds(G, R, columns[0])
+    rid: object
+    request: object = None  # the batch request its detail starts with
+    k: int = 0
+    checks: list | None = None
+    recovery: object = None
+    fast: bool = False
+    detail: str | None = None
+
+
+class _Checker:
+    """The claims of one certification, checked a chunk at a time and
+    recorded into ``report`` in the order they arrive.
+
+    `add` does a claim's per-set Python work: the positions and reader
+    (`_claim`), the columns its target names (`_columns`), and for a set
+    without witness rows (a plain set, or an XOR reader over GF(2), whose
+    witness is the XOR of the column masks, `_xor_holds`) the range test.
+    A set whose reader has witness rows takes a row of the chunk's
+    arrays instead: a (claims, K, L) index of positions and a
+    (claims, K, w, L) stack of witness rows, filled from a
+    `codes.Recovery`'s own ``index`` and ``stack`` or from the readers.
+    A chunk holds as many claims as keep its index within `CHUNK_ENTRIES`
+    gathered entries (one column word per 64 rows over GF(2), n elements
+    otherwise), so memory stays bounded however many requests run.
+
+    `check` then tests the whole chunk at once: one range test, one
+    row-wise sort of the (claims, K·L) index, padding made distinct,
+    for overlaps, and one `_witnesses_hold` call for every witness row.
+    A claim the chunk passes is recorded; any other takes the per-claim
+    diagnosis (`_check_positions`, `_sets_disjoint`, `_solve_recovery`),
+    which words its problems.  A claim without rows (plain sets and XOR
+    readers over GF(2) only) is diagnosed as it arrives when no claim
+    waits, so array codes never load numpy."""
+
+    def __init__(self, G, positions_of, report):
+        self.G, self.positions_of, self.report = G, positions_of, report
+        # gathered entries per position of a set
+        self.entries = -(-G.n // 64) if G.field.q == 2 else G.n
+        self.pending = []
+        self.shape = (0, 0, 0)  # K sets, L positions, w witness rows
+
+    def fail(self, rid, detail):
+        """Record a claim that failed before it reached the checker."""
+        if self.pending:
+            self.pending.append(_Claim(rid, detail=detail))
+        else:
+            self.report.record(rid, detail)
+
+    def add(self, rid, request, k, targets, sets):
+        """Check that k disjoint ``sets`` recover ``targets``, set s target
+        s, in the words of `certify_pir`; ``request`` (None for a PIR
+        claim) starts the detail.  A target is a message index, or with
+        ``positions_of`` an id whose positions its set must recover,
+        witness row r the r-th.  A set past the last target is counted
+        and range-tested only.  ``sets`` is a list of sets of positions or
+        readers, or a `codes.Recovery`."""
+        G, gf2 = self.G, self.G.field.q == 2
+        readers = getattr(sets, "readers", sets)
+        checks, fast, operators, rowed, width, height = [], len(readers) == k, True, False, 0, 0
+        last = found = None
+        for (R, reader), target in zip(map(_claim, readers),
+                                       itertools.chain(targets, itertools.repeat(None))):
+            if found is None or target != last:  # the k sets of a PIR claim share theirs
+                last, found = target, (([], None) if target is None
+                                       else _columns(G, target, self.positions_of))
+            columns, error = found
+            op = None if reader is None else reader.operator
+            if reader is None or op is None and gf2:
+                fast = operators = False
+                held = [False] * len(columns)
+                if columns or target is None:
+                    try:
+                        _check_positions(G.N, R)  # before the first column is read
+                    except ValueError as exc:
+                        columns, error = [], str(exc)
+                    if reader is not None and columns:
+                        held[0] = _xor_holds(G, R, columns[0])
+                checks.append((R, target, columns, held, error, None, None))
+                continue
+            rowed = True
+            if op is None:  # an XOR off GF(2): one row of ones
+                operators, rows, h = False, [[1] * len(R)], min(1, len(columns))
+            else:  # its first `width` rows; rows of another length than R all fail
+                rows = op.matrix
+                h = min(op.width, len(rows), len(columns)) if rows.shape[1] == len(R) else 0
+            if len(R) > width:
+                width = len(R)
+            if h > height:
+                height = h
+            if fast:
+                fast = h == len(columns) > 0 and error is None
+            checks.append((R, target, columns, None, error, rows, h))
+        if not rowed and not self.pending:
+            self._record(request, rid, self._problems(k, checks))
+            return
+        claim = _Claim(rid, request, k, checks,
+                       sets if operators and readers is not sets else None, fast)
+        K, L, w = self.shape
+        K, L = max(K, len(checks)), max(L, width)
+        if self.pending and (
+                (len(self.pending) + 1) * max(K * L, 1) * self.entries > CHUNK_ENTRIES):
+            self.check()
+            K, L, w = len(checks), width, 0
+        self.pending.append(claim)
+        self.shape = K, L, max(w, height)
+
+    def check(self):
+        """Check and record every waiting claim."""
+        claims, self.pending = self.pending, []
+        (K, L, w), self.shape = self.shape, (0, 0, 0)
+        if not claims:
+            return
+        C, w, N = len(claims), max(w, 1), self.G.N
+        index = np.zeros((C, K, L), dtype=np.intp)
+        stack = np.zeros((C, K, w, L), dtype=np.uint16)
+        target = [-1] * (C * K * w)
+        length = [0] * (C * K)
+        overflow = []
+        for c, claim in enumerate(claims):
+            rec = claim.recovery
+            if rec is not None:
+                index[c, :len(rec.index), :rec.index.shape[1]] = rec.index
+                # columns past L belong to readers wider than their
+                # positions, whose rows all fail and are not read
+                witness = rec.stack[:, :w, :L]
+                stack[c, :len(witness), :witness.shape[1], :witness.shape[2]] = witness
+            for s, (R, _, columns, _, _, rows, h) in enumerate(claim.checks or ()):
+                if h is None:
+                    continue
+                row = c * K + s
+                length[row] = len(R)
+                target[row * w:row * w + h] = columns[:h]
+                if rec is None:
+                    try:
+                        index[c, s, :len(R)] = R
+                    except OverflowError:  # a position no index can hold
+                        overflow.append(row)
+                    if h:
+                        stack[c, s, :h, :len(R)] = rows[:h]
+        bad = None
+        if overflow or index.min(initial=0) < 0 or index.max(initial=0) >= N:
+            bad = ((index < 0) | (index >= N)).any(axis=2).reshape(-1)
+            bad[overflow] = True
+            index.reshape(C * K, L)[bad] = 0  # no column is read at a bad position
+        keyed = index
+        if length and min(length) < L:  # padding made distinct, all at N or above
+            keyed = np.where(np.arange(L) < np.reshape(length, (C, K, 1)), index,
+                             np.arange(N, N + K * L).reshape(K, L))
+        # every position now lies in [0, N + K L): sort in the narrowest type
+        keyed = np.sort(keyed.reshape(C, K * L).astype(np.min_scalar_type(N + K * L)),
+                        axis=1)
+        overlap = (keyed[:, 1:] == keyed[:, :-1]).any(axis=1)
+        held = _witnesses_hold(self.G, index.reshape(C * K, L), stack.reshape(C * K, w, L),
+                               np.array(target, dtype=np.intp).reshape(C * K, w))
+        ok = held.reshape(C, K * w).all(axis=1) & ~overlap
+        if bad is not None:
+            ok &= ~bad.reshape(C, K).any(axis=1)
+            bad = bad.tolist()
+        held, ok, overlap = held.tolist(), ok.tolist(), overlap.tolist()
+        for c, claim in enumerate(claims):
+            if claim.checks is None:
+                self.report.record(claim.rid, claim.detail)
+            elif claim.fast and ok[c]:
+                self.report.record(claim.rid)
             else:
-                rows = reader.witness
-                if len(rows) and len(rows[0]) == len(R):  # else every row fails
-                    stacked.append((si, held, (rows, columns)))
-        checks.append((R, target, columns, held, error))
-    if stacked:
-        ids = [si for si, _, _ in stacked]
-        if index is None:
-            index = _padded([sets[si][0] for si in ids], N)[0]
-        elif len(ids) < len(index):
-            index = index[ids]
-        for (_, held, _), ok in zip(stacked, _witnesses_hold(
-                G, index, [witness for _, _, witness in stacked])):
-            held[:] = ok
-    for si, (R, target, columns, held, error) in enumerate(checks):
-        for column, ok in zip(columns, held):
-            if not ok and not _solve_recovery(G, _target(G, column), R)[0]:
-                what = (f"message {target}" if positions_of is None
-                        else f"position {column}")
-                problems.append(f"set {si} does not recover {what}")
-        if error:
-            problems.append(f"set {si} {error}")
-    return "; ".join(problems) or None
+                rows = slice(c * K, c * K + K)
+                self._record(claim.request, claim.rid, self._problems(
+                    claim.k, claim.checks, held[rows], bad and bad[rows], overlap[c]))
+
+    def _record(self, request, rid, detail):
+        if detail and request is not None:
+            detail = f"{request}: {detail}"
+        self.report.record(rid, detail)
+
+    def _problems(self, k, checks, held=None, bad=None, overlap=None):
+        """The problems of a claim, from the chunk's verdicts on its rows
+        (``held``, ``bad``, ``overlap``) where it has them: a wrong count,
+        an overlap, each set that reads a position outside [0, N), and
+        each value that a set does not recover, its span solved when its
+        witness fails or it has none.  Joined by "; ", or None."""
+        G = self.G
+        problems = []
+        if len(checks) != k:
+            problems.append(f"expected {k} sets, got {len(checks)}")
+        # a position the chunk saw twice may repeat within one set
+        if not (overlap is False and not any(bad or ())
+                and all(c[6] is not None for c in checks)
+                or _sets_disjoint(c[0] for c in checks)):
+            problems.append("sets overlap")
+        for si, (R, target, columns, ok, error, _, h) in enumerate(checks):
+            if h is not None:
+                ok = [False] * len(columns)
+                if bad and bad[si]:
+                    if columns or target is None:
+                        try:
+                            _check_positions(G.N, R)  # names the position
+                        except ValueError as exc:
+                            columns, error = [], str(exc)
+                else:
+                    ok[:h] = held[si][:h]
+            for column, good in zip(columns, ok):
+                if not good and not _solve_recovery(G, _target(G, column), R)[0]:
+                    what = (f"message {target}" if self.positions_of is None
+                            else f"position {column}")
+                    problems.append(f"set {si} does not recover {what}")
+            if error:
+                problems.append(f"set {si} {error}")
+        return "; ".join(problems) or None
 
 
 def certify_pir(G: GeneratorMatrix, claims, k: int) -> Report:
     """Check that every target's k claimed sets are valid recovering sets
     and pairwise disjoint.
 
-    ``claims`` maps a message index to its list of claimed sets: sets of
-    coordinates, or readers whose first witness row is checked before
-    any span is solved.  A position outside [0, N) fails the claim.  These
-    are `certify_batch`'s checks of the request (i, ..., i), keyed by i.
+    ``claims`` maps a message index to its claimed sets: a list of sets of
+    coordinates or readers, whose first witness row is checked before any
+    span is solved, or a `codes.Recovery`.  A position outside [0, N)
+    fails the claim.  These are `certify_batch`'s checks of the request
+    (i, ..., i), keyed by i, but for a set past the k-th, which must
+    recover message i too.
     """
     report = Report()
+    checker = _Checker(G, None, report)
     for target, sets in claims.items():
-        report.record(target, _claim_problems(G, k, itertools.repeat(target),
-                                              sets, None))
+        checker.add(target, None, k, itertools.repeat(target), sets)
+    checker.check()
     return report
 
 
 def certify_batch(G: GeneratorMatrix, planner, requests, positions_of=None) -> Report:
     """Run the planner on every request and check validity plus pairwise
     disjointness of the returned sets, one per request entry in sorted
-    order.
+    order, the claims of a chunk at once (`_Checker`).
 
     Requests are multisets of target ids; ``positions_of`` maps a target
     id to the codeword positions its set must recover (default: the id is
-    a message index).  The planner returns sets of positions or readers;
-    a reader's witness row r is checked for the r-th position of its
-    target before any span is solved.  A position outside [0, N) fails
-    the request.  A failure's detail is the request, then the problems
-    in `certify_pir`'s words.
+    a message index).  The planner returns a list of sets of positions or
+    readers, or a `codes.Recovery`; a reader's witness row r is checked
+    for the r-th position of its target before any span is solved.  A
+    position outside [0, N) fails the request, in a set past the last
+    entry too.  A failure's detail is the request, then the problems in
+    `certify_pir`'s words.
     """
     report = Report()
+    checker = _Checker(G, positions_of, report)
     for rid, request in enumerate(requests):
         try:
             sets = planner(request)
         except Exception as exc:  # planner failures are certification data
-            report.record(rid, f"planner failed on {request}: {exc}")
+            checker.fail(rid, f"planner failed on {request}: {exc}")
             continue
-        detail = _claim_problems(G, len(request), sorted(request), sets, positions_of)
-        report.record(rid, detail and f"{request}: {detail}")
+        checker.add(rid, request, len(request), sorted(request), sets)
+    checker.check()
     return report
 
 

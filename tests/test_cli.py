@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pirbatch import cli, codes, curves, multiplicity
+from pirbatch import array_code, cli, codes, curves, multiplicity
 from pirbatch.codes import binary_expand, replicate
 from pirbatch.gf import CapacityError, Field
+from pirbatch.mpoly import DecodeFailure
 
 MULT = {"family": "multiplicity", "m": 2, "d": 2, "s": 2, "q": 7, "modulus": [0, 1]}
 ARR = {"family": "array", "r": 5, "p": 5, "S": [0, 1, 2], "global_parity": False}
@@ -389,6 +390,30 @@ def test_corrupted_descriptor_exit_2(tmp_path, capsys):
     assert run(["certify", str(bad), "--mode", "pir"]) == 2
     bad.write_text('{"no_family": 1}')
     assert run(["certify", str(bad), "--mode", "pir"]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    array_code.BatchPlanningError("no batch plan serves the request"),
+    RuntimeError("no irreducible polynomial of degree 3 over GF(2)"),
+    RuntimeError("generator map is rank deficient"),
+    DecodeFailure("a consistency row does not vanish"),
+], ids=["planner", "modulus", "rank", "decode"])
+def test_a_runtime_error_exits_3_without_a_traceback(error, tmp_path, capsys, monkeypatch):
+    # a computation that cannot complete is reported in one line with exit
+    # code 3; a decode failure, also a RuntimeError, still exits 1
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(ARR))
+
+    def fail(desc):
+        raise error
+
+    monkeypatch.setattr(cli, "build_runtime", fail)
+    want = 1 if isinstance(error, DecodeFailure) else 3
+    for command in (["certify", str(code), "--mode", "pir"], ["roundtrip", str(code)],
+                    ["build", "array", "--r", "3", "--k", "2"]):
+        assert run(command) == want, command
+        err = capsys.readouterr().err
+        assert err == f"{'decode failure' if want == 1 else 'error'}: {error}\n"
 
 
 def test_roundtrip_refuses_negative_trials(tmp_path, capsys):

@@ -325,6 +325,17 @@ def test_the_table_build_finds_the_first_primitive_element_past_x():
     assert antilog[1] == 3 and sorted(antilog[:15]) == list(range(1, 16))
 
 
+@pytest.mark.parametrize("f", TABLE_BUILD_FIELDS, ids=repr)
+def test_the_table_build_lists_the_powers_of_one_element(f, monkeypatch):
+    # candidates are tested through the prime factors of q - 1, so only the
+    # primitive element found has its powers listed
+    f = Field(f.p, f.e, f.modulus)
+    listed = []
+    powers = Field._powers
+    monkeypatch.setattr(Field, "_powers", lambda self, g: listed.append(g) or powers(self, g))
+    assert f._tables == _tables_by_products(f) and listed == [f._tables[1][1]]
+
+
 def _elements(f):
     """Elements of f, with 0 and 1 drawn often."""
     return st.sampled_from([0, 1]) | st.integers(0, f.q - 1)

@@ -78,7 +78,7 @@ def test_pack_and_unpack_are_inverse(bits):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=st.integers(0, 70).flatmap(lambda t: st.tuples(
+@given(case=st.integers(0, 140).flatmap(lambda t: st.tuples(
     st.just(t), st.lists(st.integers(0, (1 << t) - 1) | st.just(0), max_size=12))))
 @example(case=(0, [0, 0, 0]))  # no bits: every word is 0
 @example(case=(1, [0, 1, 1]))
@@ -92,6 +92,11 @@ def test_word_packer_round_trip(case):
     assert linalg.pack_words(bits) == words
     # any nonzero entry is a set bit
     assert linalg.pack_words(bits * 3) == words
+    # the same words as uint64 lanes, one per 64 bits
+    lanes = linalg.word_lanes(words, t)
+    assert lanes.shape == (len(words), -(-t // 64)) and lanes.dtype == np.uint64
+    assert lanes.tolist() == [[w >> 64 * l & (1 << 64) - 1 for l in range(-(-t // 64))]
+                              for w in words]
 
 
 def test_symbols_refuses_entries_outside_the_field():

@@ -16,7 +16,7 @@ from pirbatch.array_code import (
     pir_sets_for_bit,
     to_descriptor,
 )
-from pirbatch.codes import Encoder, Reader, binary_expand, build_runtime
+from pirbatch.codes import Encoder, Reader, Recovery, binary_expand, build_runtime
 from pirbatch.gf import CapacityError, Field, np
 from pirbatch.mpoly import Poly
 from pirbatch.multiplicity import (
@@ -428,6 +428,8 @@ def _claim_of_kind(data, fld, kind, i, n, N, k):
         sets.pop()
     elif kind == "too many":
         sets.append(set(parity[k::k + 1]))
+        if data.draw(st.booleans(), label="extra set outside"):
+            sets[-1].add(data.draw(st.sampled_from([-2, -1, N, N + 1]), label="outside"))
     # a set may come as a reader carrying the XOR witness, right or wrong,
     # or as an operator reader with a random witness row
     return [_as_reader(data, fld, R) for R in sets]
@@ -451,8 +453,9 @@ def _as_reader(data, fld, R):
 def test_pir_is_batch_certification_of_the_k_fold_requests(data):
     # certify_pir(G, claims, k) and certify_batch on the requests (i, ..., i)
     # served by message i's own sets give one verdict per target, and the
-    # same problems, the batch ones after the request, for a claim of at
-    # most k sets (a batch request leaves a set past its k unchecked)
+    # same problems, the batch ones after the request, but that a batch
+    # request only range-checks a set past its k, where certify_pir also
+    # checks that the set recovers message i
     fld = data.draw(st.sampled_from([GF2, GF3]), label="field")
     n = data.draw(st.integers(2, 3), label="n")
     k = data.draw(st.integers(1, 3), label="k")
@@ -476,14 +479,16 @@ def test_pir_is_batch_certification_of_the_k_fold_requests(data):
     assert (pir_report.total, pir_report.passed) == (batch.total, batch.passed)
     assert [i for i, _ in batch.failures] == [i for i, _ in pir_report.failures]
     for (i, detail), (_, got) in zip(pir_report.failures, batch.failures):
-        if len(claims[i]) <= k:
-            assert got == f"{(i,) * k}: {detail}"
+        unchecked = tuple(f"set {s} does not recover " for s in range(k, len(claims[i])))
+        detail = "; ".join(p for p in detail.split("; ") if not p.startswith(unchecked))
+        assert got == f"{(i,) * k}: {detail}"
 
 
 def _solved_problems(G, k, targets, sets, positions_of):
     """The problems of a claim through one `is_recovering_set` or
     `is_recovering_position` call per (set, value) without a witness, so
-    every span is solved: the checker's definition, in its words."""
+    every span is solved: the checker's definition, in its words.  A set
+    past the last target only has its positions range-checked."""
     problems = []
     if len(sets) != k:
         problems.append(f"expected {k} sets, got {len(sets)}")
@@ -494,7 +499,14 @@ def _solved_problems(G, k, targets, sets, positions_of):
         seen.update(P)
     if overlap:
         problems.append("sets overlap")
-    for si, (P, target) in enumerate(zip(positions, targets)):
+    targets = iter(targets)
+    for si, P in enumerate(positions):
+        target = next(targets, None)
+        if target is None:  # a set past the last target is range-checked only
+            bad = next((j for j in P if not 0 <= j < G.N), None)
+            if bad is not None:
+                problems.append(f"set {si} reads position {bad} outside [0, {G.N})")
+            continue
         try:
             if positions_of is None:
                 if not is_recovering_set(G, target, P)[0]:
@@ -511,15 +523,15 @@ def _solved_problems(G, k, targets, sets, positions_of):
 READER_KINDS = ("set", "xor", "right", "random", "outside", "length")
 
 
-def _claimed_set(data, G, positions, columns):
+def _claimed_set(data, G, positions, columns, kinds=READER_KINDS):
     """A claimed set over ``positions`` that must recover generator
     ``columns``: a plain set, an XOR reader, or an operator reader whose
     witness rows are the solver's coefficients ("right"), random, right
     but for one entry in [q, 256) ("outside"), or right but one entry
     longer or shorter ("length"), with random check rows below them.
-    Returns (set, kind)."""
+    The kind is drawn from ``kinds``.  Returns (set, kind)."""
     fld, q = G.field, G.field.q
-    kind = data.draw(st.sampled_from(READER_KINDS), label="reader kind")
+    kind = data.draw(st.sampled_from(kinds), label="reader kind")
     if kind == "set":
         return frozenset(positions), kind
     if kind == "xor":
@@ -609,6 +621,93 @@ def test_stacked_witness_checks_match_the_solver(data):
             P = getattr(P, "positions", P)
             if 0 <= t < n and all(0 <= j < N for j in P):
                 assert is_recovering_set(G, t, P)[0] == functional_recovery_oracle(G, t, P)
+
+
+# a GF(2) generator of n rows packs each column into ceil(n / 64) words
+CHUNK_SIZES = {GF2: [2, 63, 64, 65, 130]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_chunked_certification_matches_the_per_claim_checks(data):
+    # certify_batch checks a chunk of claims at once, with chunks cut at a
+    # drawn cap, so failing claims fall first, last, in the middle and on
+    # both sides of a chunk boundary: every verdict and detail, in request
+    # order, equals that of solving each claim's every span alone, over
+    # GF(2) generators whose columns take one, two or three words too
+    fld = data.draw(st.sampled_from([GF2, *CHECK_FIELDS]), label="field")
+    n = data.draw(st.sampled_from(CHUNK_SIZES.get(fld, [1, 2, 3])), label="n")
+    k = data.draw(st.integers(1, 3), label="k")
+    # columns c*n + t, c < k, are message t's unit column, then parities
+    parities = data.draw(st.integers(0, 3), label="parities")
+    N = k * n + parities
+    order = list(range(N))
+    data.draw(st.randoms(use_true_random=False), label="column order").shuffle(order)
+    if fld.q == 2:  # one draw per parity column
+        parity = [data.draw(st.integers(0, 2 ** n - 1)) for _ in range(parities)]
+        parity = [[p >> r & 1 for r in range(n)] for p in parity]
+    else:
+        parity = [[data.draw(st.integers(0, fld.q - 1)) for _ in range(n)]
+                  for _ in range(parities)]
+    cols = [[int(r == c % n) for r in range(n)] for c in range(k * n)] + parity
+    G = GeneratorMatrix(field=fld, rows=tuple(tuple(cols[c][r] for c in order)
+                                              for r in range(n)),
+                        info_positions=tuple(order.index(c) for c in range(n)))
+    unit = [[order.index(c * n + t) for c in range(k)] for t in range(n)]
+    kinds = ("right",) * 12 + READER_KINDS
+    requests, claims = [], []
+    for _ in range(data.draw(st.integers(1, 8), label="requests")):
+        request = tuple(data.draw(st.integers(0, n - 1), label="target")
+                        if data.draw(st.integers(0, 7), label="valid target?")
+                        else data.draw(st.sampled_from([-1, n]), label="target")
+                        for _ in range(k))
+        targets = sorted(request)
+        if data.draw(st.integers(0, 15), label="planner fails?") == 0:
+            claims.append(ValueError(f"no plan for {len(request)}"))
+            requests.append(request)
+            continue
+        sets, seen = [], {}
+        for si in range(data.draw(st.sampled_from([k] * 6 + [k - 1, k + 1]), label="sets")):
+            t = targets[si] if si < k else None
+            positions = []
+            if data.draw(st.integers(0, 3), label="other position?") == 0:
+                positions.append(data.draw(st.integers(0, N - 1), label="other position"))
+            if t is not None and 0 <= t < n and data.draw(st.integers(0, 7), label="unit?"):
+                copy = seen.get(t, 0)  # a copy of t's unit column no set took yet
+                seen[t] = copy + 1
+                positions.append(unit[t][copy % k])
+            if data.draw(st.integers(0, 15), label="outside?") == 0:
+                positions.insert(data.draw(st.integers(0, len(positions))),
+                                 data.draw(st.sampled_from([-1, N, 2 ** 64])))
+            columns = [G.info_positions[t]] if t is not None and 0 <= t < n else []
+            sets.append(_claimed_set(data, G, tuple(positions), columns, kinds)[0])
+        if (sets and all(getattr(R, "operator", None) is not None for R in sets)
+                and all(j < 2 ** 63 for R in sets for j in R.positions)
+                and data.draw(st.booleans(), label="as a recovery")):
+            sets = Recovery(tuple(sets))
+        requests.append(request)
+        claims.append(sets)
+    cap = data.draw(st.integers(1, 4 * k * N * -(-n // 64)), label="chunk cap")
+
+    def planner(request, claims=iter(claims)):
+        claim = next(claims)
+        if isinstance(claim, Exception):
+            raise claim
+        return claim
+
+    with unittest.mock.patch.object(verify, "CHUNK_ENTRIES", cap):
+        report = certify_batch(G, planner, requests)
+    want = []
+    for rid, (request, claim) in enumerate(zip(requests, claims)):
+        if isinstance(claim, Exception):
+            want.append((rid, f"planner failed on {request}: {claim}"))
+            continue
+        sets = list(getattr(claim, "readers", claim))
+        problems = _solved_problems(G, k, sorted(request), sets, None)
+        if problems is not None:
+            want.append((rid, f"{request}: {problems}"))
+    assert report.failures == want
+    assert (report.total, report.passed) == (len(requests), len(requests) - len(want))
 
 
 FIELDS = [GF2, Field(5), Field.from_order(8), Field.from_order(9)]
