@@ -6,15 +6,26 @@ which is made if it does not exist:
 
     PYTHONPATH=src python3 scripts/cli_snapshot.py WORKDIR > snapshot.txt
 
-and then ``diff`` the two snapshots.  The codes are the four benchmark
-descriptors, an expanded GF(4) code, a replicated array code, an
-expanded, replicated GF(4) code, whose codeword is also read with one
-bit flipped inside a recovering set, and multiplicity codes over GF(8)
-and GF(9), whose certification solves spans over an extension field.
+and then ``diff`` the two snapshots.  CI diffs the installed package's
+output against the committed ``scripts/cli_snapshot.txt``.  A change
+that alters the command line's output on purpose regenerates that file,
+from the root of its checkout,
+
+    PYTHONPATH=src python3 scripts/cli_snapshot.py WORKDIR > scripts/cli_snapshot.txt
+
+and says which lines changed and why.
+
+The codes are the four benchmark descriptors, an expanded GF(4) code,
+a replicated array code, an expanded, replicated GF(4) code, whose
+codeword is also read with one bit flipped inside a recovering set,
+and multiplicity codes over GF(8) and GF(9), whose certification
+solves spans over an extension field.
 The codeword of the GF(11) benchmark code is also read with one symbol
 changed inside a recovering set, through every set and through that set
 alone, so that both reads fail their checks over a prime field.
-Encoded codewords are printed too.
+Encoded codewords are printed too, and every code is certified in PIR
+mode at one above its k, with the failure report printed as CSV, so
+that the wording of every failure detail is compared too.
 """
 
 from __future__ import annotations
@@ -75,6 +86,13 @@ def main(workdir):
         run(["certify", desc, "--mode", "batch", "--limit", "300", "--seed", "4"])
         if name in BATCH_K2:
             run(["certify", desc, "--mode", "batch", "--k", "2", "--limit", "100"])
+        # a false claim, k + 1 disjoint sets per symbol: its failure details
+        with open(desc) as fh:
+            k = codes.build_runtime(json.load(fh)).k
+        csv = os.path.join(workdir, f"{name}-fail.csv")
+        run(["certify", desc, "--mode", "pir", "--k", str(k + 1), "--report-csv", csv])
+        with open(csv) as fh:
+            sys.stdout.write(fh.read())
         if name == "gf4-bits-rep":
             # bit 0 of the symbol at point 1 in the first replica: the sets
             # of the symbol at point 0 read it, those of point 1 do not

@@ -160,6 +160,10 @@ def cmd_certify(args) -> int:
     k = args.k if args.k is not None else runtime.k
     if k < 1:
         raise ValueError(f"--k must be >= 1, got {k}")
+    # an empty set recovers no symbol, so k disjoint recovering sets need
+    # k <= N; refusing a larger k keeps the n k requested sets bounded
+    if k > runtime.N:
+        raise ValueError(f"--k must be <= N = {runtime.N}, got {k}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     # refuse a generator above the cap, and a k the planner cannot serve,

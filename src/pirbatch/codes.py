@@ -55,8 +55,9 @@ class Reader:
     """How one recovering set gives one information symbol: the codeword
     positions it reads, in the order of the operator's columns, and a
     `pir.RecoveryOperator` of width 1 over the code's field, or None for
-    the XOR of the positions read.  The operator's R rows, or for an XOR
-    a row of ones, are the witness `verify` checks the set against."""
+    the XOR of the positions read.  The operator's R rows are the witness
+    `verify` checks the set against; an XOR's witness is the XOR of its
+    columns over GF(2), and off GF(2) its set is solved."""
 
     positions: Collection
     operator: pir.RecoveryOperator | None

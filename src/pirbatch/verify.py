@@ -10,15 +10,19 @@ oracle below cross-checks that equivalence at tiny sizes.  A claimed set
 may carry a witness, the coefficients its construction recovers with;
 checking them against the extracted generator proves the membership
 without solving, and a witness that fails only sends the set to the
-solve.  Certification checks its claims a chunk at a time (`_Checker`):
-the positions of every claimed reader with witness rows go into one
-index, a `codes.Recovery`'s own when the claim is one, tested for range
-once and for overlaps by one row-wise sort, and every witness row is
-checked in one call, over GF(2) as XORs of the generator's packed column
-words, otherwise as one `gf.matmul`.  Only a claim the chunk does not
-pass is diagnosed set by set, in the same words.  XOR readers over
-GF(2), the array codes' sets, XOR the generator's column masks instead,
-so array commands never load numpy.
+solve.  Certification checks its claims a chunk at a time (`_Checker`)
+and gives each claim of a chunk one verdict, pass or fail: the positions
+of every operator reader go into one index, a `codes.Recovery`'s own
+when the claim is one, tested for range once and for overlaps by one
+row-wise sort, and every witness row is checked in one call, over GF(2)
+as XORs of the generator's packed column words, otherwise as one
+`gf.matmul`.  Every claim the chunk does not pass, and every claim
+without witness rows, goes through one set-by-set diagnosis that words
+its problems: each set's range test, then for each target column the
+set's witness (the chunk's verdict on its row, or for an XOR reader
+over GF(2) the XOR of the generator's column masks), and the span solve
+only when that fails.  The array codes' XOR readers take that diagnosis
+alone, so array commands never load numpy.
 """
 
 from __future__ import annotations
@@ -228,22 +232,24 @@ def is_recovering_set(G: GeneratorMatrix, i: int, R, witness=None):
     R outside [0, N), or i outside [0, n), raises ValueError."""
     if not 0 <= i < G.n:
         raise ValueError(f"targets message {i} outside [0, {G.n})")
-    return _recovery(G, G.info_positions[i], R, witness)
+    return is_recovering_position(G, G.info_positions[i], R, witness)
 
 
 def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
     """Same test for an arbitrary codeword position j, which must lie in
-    [0, N)."""
+    [0, N).  A witness that is |R| field elements is checked as a stack
+    of one."""
     if not 0 <= j < G.N:
         raise ValueError(f"targets position {j} outside [0, {G.N})")
-    return _recovery(G, j, R, witness)
-
-
-def _target(G, j):
-    """Column j of G, over GF(2) its bitmask.  Message i's target is
-    column info_positions[i], its unit vector in a systematic
-    generator."""
-    return G.masks[j] if G.field.q == 2 else G.matrix[:, j]
+    _check_positions(G.N, R)
+    if witness is not None:
+        R, coeffs = list(R), list(witness)
+        if (len(coeffs) == len(R) and linalg.in_field(coeffs, G.field.q)
+                and _witnesses_hold(G, np.array([R], dtype=np.intp),
+                                    np.array([[coeffs]], dtype=np.int64),
+                                    np.array([[j]], dtype=np.intp))[0, 0]):
+            return True, dict(zip(R, coeffs))
+    return _solve_recovery(G, j, R)
 
 
 def _check_positions(N, R):
@@ -253,21 +259,6 @@ def _check_positions(N, R):
     if R and not (0 <= min(R) and max(R) < N):
         bad = next(j for j in R if not 0 <= j < N)
         raise ValueError(f"reads position {bad} outside [0, {N})")
-
-
-def _recovery(G, column, R, witness):
-    """Whether R recovers generator column ``column``: a witness that is
-    |R| field elements is checked as a stack of one, then the span is
-    solved."""
-    _check_positions(G.N, R)
-    if witness is not None:
-        R, coeffs = list(R), list(witness)
-        if (len(coeffs) == len(R) and linalg.in_field(coeffs, G.field.q)
-                and _witnesses_hold(G, np.array([R], dtype=np.intp),
-                                    np.array([[coeffs]], dtype=np.int64),
-                                    np.array([[column]], dtype=np.intp))[0, 0]):
-            return True, dict(zip(R, coeffs))
-    return _solve_recovery(G, _target(G, column), R)
 
 
 def _witnesses_hold(G: GeneratorMatrix, index, stack, target):
@@ -312,15 +303,16 @@ def _xor_holds(G: GeneratorMatrix, R, column) -> bool:
     return acc == masks[column]
 
 
-def _solve_recovery(G, target, R):
-    """``target`` is a `_target` column."""
+def _solve_recovery(G, column, R):
+    """Whether R's columns span generator column ``column``: (True, the
+    nonzero coefficients by position) or (False, None)."""
     cols_idx = sorted(R)
     if G.field.q == 2:
         masks = G.masks
-        sol = linalg.solve_in_span_gf2([masks[j] for j in cols_idx], target)
+        sol = linalg.solve_in_span_gf2([masks[j] for j in cols_idx], masks[column])
         coeffs = None if sol is None else [sol >> t & 1 for t in range(len(cols_idx))]
     else:
-        coeffs = linalg.solve_in_span(G.field, G.matrix[:, cols_idx].T, target)
+        coeffs = linalg.solve_in_span(G.field, G.matrix[:, cols_idx].T, G.matrix[:, column])
     if coeffs is None:
         return False, None
     return True, {j: c for j, c in zip(cols_idx, coeffs) if c}
@@ -362,16 +354,6 @@ class Report:
             yield ("all", "pass", f"{self.passed} requests")
 
 
-def _claim(R):
-    """(positions, reader or None) of a claimed set: a set of positions
-    has no reader; a reader (`codes.Reader`) carries its positions and
-    its operator, whose first ``width`` rows are its witness, one row per
-    value it recovers, or None for an XOR, whose witness is one row of
-    ones."""
-    positions = getattr(R, "positions", None)
-    return (R, None) if positions is None else (positions, R)
-
-
 def _sets_disjoint(sets):
     seen = set()
     for s in sets:
@@ -400,48 +382,48 @@ def _columns(G, target, positions_of):
 @dataclass(slots=True)
 class _Claim:
     """A claim waiting for its chunk's check: ``checks`` holds one
-    (positions, target, columns, held, error, witness rows, stacked rows)
-    tuple per set.  A set checked without the chunk's arrays has its
-    verdicts in ``held`` and None for the last two; a set with a row of
-    the arrays has ``held`` None and stacks its first ``stacked rows``
-    witness rows.  ``recovery`` is the claimed `codes.Recovery` when all
-    its readers carry operators, and ``fast`` says that the chunk's
-    verdict alone can pass the claim.  A claim whose planner failed has
-    only its ``detail``."""
+    (positions, target, columns, error, rows, witnesses) tuple per set,
+    whose first ``witnesses`` target ``columns`` have a witness: the
+    first ``rows`` of an operator reader, which take rows of the chunk's
+    arrays, or for an XOR reader over GF(2) (``rows`` None) the XOR of
+    the column masks, for the first column.  ``fast`` says that the
+    chunk's verdict alone can pass the claim: it has k sets and each has
+    a witness row for each of its columns.  ``recovery`` is the claimed
+    `codes.Recovery` when each of its readers has those rows, whatever
+    its count; its own arrays then fill the chunk."""
 
     rid: object
-    request: object = None  # the batch request its detail starts with
-    k: int = 0
-    checks: list | None = None
-    recovery: object = None
-    fast: bool = False
-    detail: str | None = None
+    request: object  # the batch request its detail starts with
+    k: int
+    checks: list
+    recovery: object
+    fast: bool
 
 
 class _Checker:
     """The claims of one certification, checked a chunk at a time and
     recorded into ``report`` in the order they arrive.
 
-    `add` does a claim's per-set Python work: the positions and reader
-    (`_claim`), the columns its target names (`_columns`), and for a set
-    without witness rows (a plain set, or an XOR reader over GF(2), whose
-    witness is the XOR of the column masks, `_xor_holds`) the range test.
-    A set whose reader has witness rows takes a row of the chunk's
-    arrays instead: a (claims, K, L) index of positions and a
-    (claims, K, w, L) stack of witness rows, filled from a
-    `codes.Recovery`'s own ``index`` and ``stack`` or from the readers.
-    A chunk holds as many claims as keep its index within `CHUNK_ENTRIES`
-    gathered entries (one column word per 64 rows over GF(2), n elements
-    otherwise), so memory stays bounded however many requests run.
+    `add` does a claim's per-set Python work: the set's positions and
+    reader, and the columns its target names (`_columns`).  A claim
+    with witness rows, from operator readers, waits for its chunk: a
+    (claims, K, L) index of positions and a (claims, K, w, L) stack of
+    witness rows, filled from a claimed `codes.Recovery` (its own
+    ``index`` and ``stack``) when every reader has a witness row for
+    each of its columns, or else from the readers.  A chunk holds as many
+    claims as keep its index within `CHUNK_ENTRIES` gathered entries
+    (one column word per 64 rows over GF(2), n elements otherwise), so
+    memory stays bounded however many requests run.
 
-    `check` then tests the whole chunk at once: one range test, one
-    row-wise sort of the (claims, K·L) index, padding made distinct,
-    for overlaps, and one `_witnesses_hold` call for every witness row.
-    A claim the chunk passes is recorded; any other takes the per-claim
-    diagnosis (`_check_positions`, `_sets_disjoint`, `_solve_recovery`),
-    which words its problems.  A claim without rows (plain sets and XOR
-    readers over GF(2) only) is diagnosed as it arrives when no claim
-    waits, so array codes never load numpy."""
+    `check` gives each claim of the chunk one verdict, pass or fail,
+    from one range test, one row-wise sort of the (claims, K·L) index,
+    padding made distinct, for overlaps, and one `_witnesses_hold` call
+    for every witness row.  A claim it passes is recorded.  Any other,
+    and a claim without witness rows (plain sets, XOR readers), goes
+    through the one set-by-set diagnosis, `_problems`, which words its
+    problems.  An XOR reader over GF(2), as the array codes' sets are,
+    is checked on the column masks (`_xor_holds`), so array commands
+    never load numpy."""
 
     def __init__(self, G, positions_of, report):
         self.G, self.positions_of, self.report = G, positions_of, report
@@ -451,11 +433,10 @@ class _Checker:
         self.shape = (0, 0, 0)  # K sets, L positions, w witness rows
 
     def fail(self, rid, detail):
-        """Record a claim that failed before it reached the checker."""
-        if self.pending:
-            self.pending.append(_Claim(rid, detail=detail))
-        else:
-            self.report.record(rid, detail)
+        """Record a claim that failed before it reached the checker, after
+        the claims waiting before it."""
+        self.check()
+        self.report.record(rid, detail)
 
     def add(self, rid, request, k, targets, sets):
         """Check that k disjoint ``sets`` recover ``targets``, set s target
@@ -467,45 +448,36 @@ class _Checker:
         readers, or a `codes.Recovery`."""
         G, gf2 = self.G, self.G.field.q == 2
         readers = getattr(sets, "readers", sets)
-        checks, fast, operators, rowed, width, height = [], len(readers) == k, True, False, 0, 0
+        checks, fast, width, height = [], True, 0, 0
         last = found = None
-        for (R, reader), target in zip(map(_claim, readers),
-                                       itertools.chain(targets, itertools.repeat(None))):
+        for R, target in zip(readers, itertools.chain(targets, itertools.repeat(None))):
             if found is None or target != last:  # the k sets of a PIR claim share theirs
                 last, found = target, (([], None) if target is None
                                        else _columns(G, target, self.positions_of))
             columns, error = found
-            op = None if reader is None else reader.operator
-            if reader is None or op is None and gf2:
-                fast = operators = False
-                held = [False] * len(columns)
-                if columns or target is None:
-                    try:
-                        _check_positions(G.N, R)  # before the first column is read
-                    except ValueError as exc:
-                        columns, error = [], str(exc)
-                    if reader is not None and columns:
-                        held[0] = _xor_holds(G, R, columns[0])
-                checks.append((R, target, columns, held, error, None, None))
+            positions = getattr(R, "positions", None)
+            op = None if positions is None else R.operator
+            if op is None:  # a set, or an XOR reader: over GF(2) the XOR is its witness
+                fast = False
+                checks.append((R, target, columns, error, None, 0) if positions is None
+                              else (positions, target, columns, error, None, int(gf2)))
                 continue
-            rowed = True
-            if op is None:  # an XOR off GF(2): one row of ones
-                operators, rows, h = False, [[1] * len(R)], min(1, len(columns))
-            else:  # its first `width` rows; rows of another length than R all fail
-                rows = op.matrix
-                h = min(op.width, len(rows), len(columns)) if rows.shape[1] == len(R) else 0
+            R, rows = positions, op.matrix
+            # its first `width` rows; rows of another length than R all fail
+            h = min(op.width, len(rows), len(columns)) if rows.shape[1] == len(R) else 0
             if len(R) > width:
                 width = len(R)
             if h > height:
                 height = h
             if fast:
                 fast = h == len(columns) > 0 and error is None
-            checks.append((R, target, columns, None, error, rows, h))
-        if not rowed and not self.pending:
+            checks.append((R, target, columns, error, rows, h))
+        if not height:
+            self.check()  # claims are recorded in the order they arrive
             self._record(request, rid, self._problems(k, checks))
             return
-        claim = _Claim(rid, request, k, checks,
-                       sets if operators and readers is not sets else None, fast)
+        claim = _Claim(rid, request, k, checks, sets if fast and sets is not readers else None,
+                       fast and len(checks) == k)
         K, L, w = self.shape
         K, L = max(K, len(checks)), max(L, width)
         if self.pending and (
@@ -521,7 +493,7 @@ class _Checker:
         (K, L, w), self.shape = self.shape, (0, 0, 0)
         if not claims:
             return
-        C, w, N = len(claims), max(w, 1), self.G.N
+        C, N = len(claims), self.G.N
         index = np.zeros((C, K, L), dtype=np.intp)
         stack = np.zeros((C, K, w, L), dtype=np.uint16)
         target = [-1] * (C * K * w)
@@ -531,12 +503,10 @@ class _Checker:
             rec = claim.recovery
             if rec is not None:
                 index[c, :len(rec.index), :rec.index.shape[1]] = rec.index
-                # columns past L belong to readers wider than their
-                # positions, whose rows all fail and are not read
-                witness = rec.stack[:, :w, :L]
+                witness = rec.stack[:, :w]
                 stack[c, :len(witness), :witness.shape[1], :witness.shape[2]] = witness
-            for s, (R, _, columns, _, _, rows, h) in enumerate(claim.checks or ()):
-                if h is None:
+            for s, (R, _, columns, _, rows, h) in enumerate(claim.checks):
+                if rows is None:
                     continue
                 row = c * K + s
                 length[row] = len(R)
@@ -548,69 +518,58 @@ class _Checker:
                         overflow.append(row)
                     if h:
                         stack[c, s, :h, :len(R)] = rows[:h]
-        bad = None
+        in_range = True
         if overflow or index.min(initial=0) < 0 or index.max(initial=0) >= N:
-            bad = ((index < 0) | (index >= N)).any(axis=2).reshape(-1)
-            bad[overflow] = True
-            index.reshape(C * K, L)[bad] = 0  # no column is read at a bad position
+            outside = (index < 0) | (index >= N)
+            outside.reshape(C * K, L)[overflow] = True
+            index[outside] = 0  # no column is read at a bad position
+            in_range = ~outside.reshape(C, K * L).any(axis=1)
         keyed = index
-        if length and min(length) < L:  # padding made distinct, all at N or above
+        if min(length) < L:  # padding made distinct, all at N or above
             keyed = np.where(np.arange(L) < np.reshape(length, (C, K, 1)), index,
                              np.arange(N, N + K * L).reshape(K, L))
         # every position now lies in [0, N + K L): sort in the narrowest type
         keyed = np.sort(keyed.reshape(C, K * L).astype(np.min_scalar_type(N + K * L)),
                         axis=1)
-        overlap = (keyed[:, 1:] == keyed[:, :-1]).any(axis=1)
         held = _witnesses_hold(self.G, index.reshape(C * K, L), stack.reshape(C * K, w, L),
                                np.array(target, dtype=np.intp).reshape(C * K, w))
-        ok = held.reshape(C, K * w).all(axis=1) & ~overlap
-        if bad is not None:
-            ok &= ~bad.reshape(C, K).any(axis=1)
-            bad = bad.tolist()
-        held, ok, overlap = held.tolist(), ok.tolist(), overlap.tolist()
+        ok = (held.reshape(C, K * w).all(axis=1)
+              & ~(keyed[:, 1:] == keyed[:, :-1]).any(axis=1) & in_range).tolist()
         for c, claim in enumerate(claims):
-            if claim.checks is None:
-                self.report.record(claim.rid, claim.detail)
-            elif claim.fast and ok[c]:
+            if claim.fast and ok[c]:
                 self.report.record(claim.rid)
             else:
-                rows = slice(c * K, c * K + K)
                 self._record(claim.request, claim.rid, self._problems(
-                    claim.k, claim.checks, held[rows], bad and bad[rows], overlap[c]))
+                    claim.k, claim.checks, held[c * K:c * K + K].tolist()))
 
     def _record(self, request, rid, detail):
         if detail and request is not None:
             detail = f"{request}: {detail}"
         self.report.record(rid, detail)
 
-    def _problems(self, k, checks, held=None, bad=None, overlap=None):
-        """The problems of a claim, from the chunk's verdicts on its rows
-        (``held``, ``bad``, ``overlap``) where it has them: a wrong count,
-        an overlap, each set that reads a position outside [0, N), and
-        each value that a set does not recover, its span solved when its
-        witness fails or it has none.  Joined by "; ", or None."""
+    def _problems(self, k, checks, held=None):
+        """The problems of a claim, set by set: a wrong count, an overlap,
+        each set that reads a position outside [0, N), and each value
+        that a set does not recover, its witness tried first (the chunk's
+        verdict ``held`` on an operator reader's row, the column masks
+        for an XOR reader over GF(2)) and its span solved when that fails
+        or it has none.  Joined by "; ", or None."""
         G = self.G
         problems = []
         if len(checks) != k:
             problems.append(f"expected {k} sets, got {len(checks)}")
-        # a position the chunk saw twice may repeat within one set
-        if not (overlap is False and not any(bad or ())
-                and all(c[6] is not None for c in checks)
-                or _sets_disjoint(c[0] for c in checks)):
+        if not _sets_disjoint(c[0] for c in checks):
             problems.append("sets overlap")
-        for si, (R, target, columns, ok, error, _, h) in enumerate(checks):
-            if h is not None:
-                ok = [False] * len(columns)
-                if bad and bad[si]:
-                    if columns or target is None:
-                        try:
-                            _check_positions(G.N, R)  # names the position
-                        except ValueError as exc:
-                            columns, error = [], str(exc)
-                else:
-                    ok[:h] = held[si][:h]
-            for column, good in zip(columns, ok):
-                if not good and not _solve_recovery(G, _target(G, column), R)[0]:
+        for si, (R, target, columns, error, rows, h) in enumerate(checks):
+            if columns or target is None:
+                try:
+                    _check_positions(G.N, R)  # before the first column is read
+                except ValueError as exc:
+                    columns, error = [], str(exc)
+            for r, column in enumerate(columns):
+                if not (r < h and (_xor_holds(G, R, column) if rows is None
+                                   else held[si][r])
+                        or _solve_recovery(G, column, R)[0]):
                     what = (f"message {target}" if self.positions_of is None
                             else f"position {column}")
                     problems.append(f"set {si} does not recover {what}")

@@ -120,6 +120,31 @@ def test_certify_refuses_k_below_one_before_extraction(tmp_path, capsys, monkeyp
         assert f"--k must be >= 1, got {k}" in captured.err
 
 
+@pytest.mark.parametrize("mode", ["pir", "batch"])
+def test_certify_refuses_k_above_n_before_any_request_is_built(tmp_path, capsys,
+                                                              monkeypatch, mode):
+    # k disjoint sets, each reading a position, need k <= N: a larger k
+    # exits 2 before the n k sets or the requests are built, and k = K + 1
+    # still runs and fails
+    monkeypatch.setattr(cli.verify, "extract_generator", _no_extraction)
+    monkeypatch.setattr(cli.verify, "enumerate_requests", _no_extraction)
+    for name, build in (("gf11", ["multiplicity", "--m", "2", "--d", "4", "--s", "2",
+                                  "--q", "11"]),
+                        ("r3k2", ["array", "--r", "3", "--k", "2"])):
+        desc = tmp_path / f"{name}.json"
+        assert run(["build", *build, "-o", str(desc)]) == 0
+        capsys.readouterr()
+        N = codes.build_runtime(json.loads(desc.read_text())).N
+        for k in (N + 1, 10 ** 8):
+            assert run(["certify", str(desc), "--mode", mode, "--k", str(k)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"--k must be <= N = {N}, got {k}" in captured.err
+    monkeypatch.undo()
+    assert run(["certify", str(tmp_path / "r3k2.json"), "--mode", "pir", "--k", "3"]) == 1
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_certify_refuses_an_unservable_k_before_sampling_or_extraction(
         tmp_path, capsys, monkeypatch, jobs):

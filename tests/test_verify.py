@@ -845,6 +845,28 @@ def test_changing_one_generator_entry_fails_certification_with_witnesses(G, clai
         assert f"set {si} does not recover message {i}" in dict(report.failures)[i]
 
 
+@pytest.mark.parametrize("desc", [
+    {"family": "multiplicity", "m": 2, "d": 4, "s": 2, "q": 11, "modulus": [0, 1]},
+    {"family": "replication", "copies": 2, "base": {
+        "family": "binary-expansion", "base": {
+            "family": "multiplicity", "m": 2, "d": 4, "s": 2, "q": 8,
+            "modulus": [1, 1, 0, 1]}}},
+], ids=["gf11", "mult-gf8-bits"])
+def test_a_failing_claim_of_witness_readers_solves_no_span(desc):
+    # each symbol's own k readers, whose witnesses hold, claimed for the
+    # request of k + 1 copies: every claim fails on its count alone, and
+    # its diagnosis takes each set's witness before any span solve
+    code = build_runtime(desc)
+    G = extract_generator(code.field, code.encode, code.n, code.N)
+    K = code.k
+    requests = [(i,) * (K + 1) for i in range(code.n)]
+    with unittest.mock.patch.object(verify, "_solve_recovery", _no_solve):
+        report = certify_batch(G, lambda request: code.recovery(request[0]), requests)
+    assert report.passed == 0 and report.failures == [
+        (i, f"{request}: expected {K + 1} sets, got {K}")
+        for i, request in enumerate(requests)]
+
+
 # -- batched extraction --------------------------------------------------------
 
 def _word_encoder(rows):
