@@ -280,13 +280,17 @@ def cmd_recover(args) -> int:
 
 
 def cmd_curves(args) -> int:
+    if args.s_values is not None and args.format != "table":
+        raise ValueError("--s-values applies to --format table only")
     if args.format == "table":
         if args.which == "batch":
             raise ValueError("table format applies to the pir variants")
         variant = "qary" if args.which == "pir-qary" else "binary"
+        s_values = None if args.s_values is None else _parse_ints(args.s_values)
+        if s_values == []:
+            raise ValueError("--s-values names no s")
         rows = curves.pir_delta_curves(
-            curves.epsilon_grid(args.step),
-            s_values=args.s_values and _parse_ints(args.s_values), variant=variant)
+            curves.epsilon_grid(args.step), s_values=s_values, variant=variant)
         _write_or_print(curves.curve_csv(rows), args.output)
         return 0
     rows = curves.curve_series(args.which, args.step)
@@ -375,7 +379,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     required=True)
     cv.add_argument("--step", default="0.1")
     cv.add_argument("--format", choices=["series", "table"], default="series")
-    cv.add_argument("--s-values", help="comma-separated s list (table format)")
+    cv.add_argument("--s-values",
+                    help="comma-separated s list, each s >= 2 (--format table only)")
     cv.add_argument("-o", "--output")
     cv.set_defaults(func=cmd_curves)
     return top

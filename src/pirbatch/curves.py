@@ -3,8 +3,9 @@
 A code of dimension n with availability n^eps (PIR or batch) and
 redundancy O(n^delta) sits at the point (eps, delta).  This module holds
 the closed forms of every construction, the reference curves the
-paper's figures compare against, and the two CSV renderings the
-``curves`` command emits.
+paper's figures compare against, each figure's series as a table of
+functions of eps, and the one CSV writer the ``curves`` command emits
+both column layouts with.
 """
 
 from __future__ import annotations
@@ -18,23 +19,26 @@ F = Fraction
 # PIR over multiplicity codes, as a function of the variable count s
 # ---------------------------------------------------------------------------
 
-def pir_delta_qary(s: int, eps: Fraction) -> Fraction:
-    """Redundancy exponent over large alphabets for a given variable count."""
+def _admissible(s: int, eps) -> Fraction:
+    """eps as a Fraction, once s >= 2 variables give redundancy below n at
+    availability n^eps, that is once s(1 - eps) > 1; else ValueError."""
     eps = Fraction(eps)
     if s < 2:
         raise ValueError("need s >= 2")
     if s * (1 - eps) <= 1:
         raise ValueError(f"s={s} is inadmissible for eps={eps}")
+    return eps
+
+
+def pir_delta_qary(s: int, eps: Fraction) -> Fraction:
+    """Redundancy exponent over large alphabets for a given variable count."""
+    eps = _admissible(s, eps)
     return 1 - Fraction(1, s) + eps / (s - 1)
 
 
 def pir_delta_binary(s: int, eps: Fraction) -> Fraction:
     """Binary redundancy exponent for a given variable count."""
-    eps = Fraction(eps)
-    if s < 2:
-        raise ValueError("need s >= 2")
-    if s * (1 - eps) <= 1:
-        raise ValueError(f"s={s} is inadmissible for eps={eps}")
+    eps = _admissible(s, eps)
     return 1 - Fraction(s * (1 - eps) - 1, 2 * s * (s - 1))
 
 
@@ -55,50 +59,62 @@ def _argmin_pair(eps: Fraction):
 
 
 def optimal_s_binary(eps: Fraction) -> int:
+    """The s of least binary exponent, the smaller one at a tie."""
     eps = Fraction(eps)
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     return min(_argmin_pair(eps), key=lambda s: (pir_delta_binary(s, eps), s))
 
 
+# each variant's exponent and the variable count that minimises it
+_PIR_VARIANTS = {"qary": (pir_delta_qary, optimal_s_qary),
+                 "binary": (pir_delta_binary, optimal_s_binary)}
+
+
 # ---------------------------------------------------------------------------
 # batch availability: multiplicity codes and diagonal array codes
 # ---------------------------------------------------------------------------
 
-def batch_delta_qary(eps) -> Fraction:
+# below eps = 1/2 each construction's exponent is the line const + slope * eps
+BATCH_LINES = {"mult-qary": (F(3, 4), F(1, 2)),
+               "mult-binary": (F(5, 6), F(1, 3)),
+               "array": (F(2, 3), F(5, 3))}
+
+
+def _batch_delta(line: str, eps) -> Fraction:
+    """The exponent on a construction's line below eps = 1/2, and the
+    multiplicity codes' 1/2 + eps from there on."""
     eps = Fraction(eps)
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if eps >= Fraction(1, 2):
-        return Fraction(1, 2) + eps
-    return Fraction(3, 4) + eps / 2
+    if eps >= F(1, 2):
+        return F(1, 2) + eps
+    const, slope = BATCH_LINES[line]
+    return const + slope * eps
+
+
+def batch_delta_qary(eps) -> Fraction:
+    return _batch_delta("mult-qary", eps)
 
 
 def batch_delta_binary(eps) -> Fraction:
-    eps = Fraction(eps)
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if eps >= Fraction(1, 2):
-        return Fraction(1, 2) + eps
-    return Fraction(5, 6) + eps / 3
+    return _batch_delta("mult-binary", eps)
 
 
 def batch_redundancy_exponent(eps) -> Fraction:
     """Exponent 2/3 + 5*eps/3 achieved by the dimension-targeted array
     builder at availability n^eps, for eps < 1/2."""
-    eps = Fraction(eps)
-    if not 0 <= eps < Fraction(1, 2):
+    if not 0 <= Fraction(eps) < F(1, 2):
         raise ValueError("eps must lie in [0, 1/2)")
-    return Fraction(2, 3) + Fraction(5, 3) * eps
+    return _batch_delta("array", eps)
 
 
 def batch_crossover() -> dict:
     """Where the array construction stops beating the multiplicity batch
     curve: solve 2/3 + 5e/3 = 5/6 + e/3 exactly, alongside the commonly
     quoted decimal 0.0755, which does not match the closed forms."""
-    lhs_const, lhs_slope = F(2, 3), F(5, 3)
-    rhs_const, rhs_slope = F(5, 6), F(1, 3)
-    eps = (rhs_const - lhs_const) / (lhs_slope - rhs_slope)
+    array, mult = BATCH_LINES["array"], BATCH_LINES["mult-binary"]
+    eps = (mult[0] - array[0]) / (array[1] - mult[1])
     quoted = 0.0755
     return {"formula": eps, "quoted": quoted,
             "matches_quoted": abs(float(eps) - quoted) < 1e-9}
@@ -135,7 +151,7 @@ def piecewise(points, x):
 # ---------------------------------------------------------------------------
 
 # the points of a step of 1/100000, the finest grid accepted for every
-# series: the slowest, binary PIR, takes about 37 s on it on a 2-vCPU
+# series: the slowest, binary PIR, takes about 23 s on it on a 2-vCPU
 # host, and the time grows with the points
 MAX_GRID_POINTS = 200001
 
@@ -155,85 +171,74 @@ def epsilon_grid(step) -> list:
 
 def pir_delta_curves(eps_grid, s_values=None, variant="qary") -> list:
     """Rows (epsilon, s, delta_s, s_star, delta_star) for the requested
-    variable counts; epsilon >= 1 rows carry the replication exponent
-    delta = epsilon with no s."""
-    if variant not in ("qary", "binary"):
+    variable counts, each s only where it is admissible, s_star from the
+    variant's `optimal_s_*` and delta_star its exponent; epsilon >= 1 rows
+    carry the replication exponent delta = epsilon with no s.  Any s
+    below 2 raises ValueError."""
+    if variant not in _PIR_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    delta = pir_delta_qary if variant == "qary" else pir_delta_binary
+    delta, optimal_s = _PIR_VARIANTS[variant]
+    if s_values is not None and any(s < 2 for s in s_values):
+        raise ValueError("need s >= 2")
     rows = []
-    for eps in eps_grid:
-        eps = Fraction(eps)
-        if eps < 0:
-            raise ValueError("eps must be >= 0")
+    for eps in map(Fraction, eps_grid):
         if eps >= 1:
             rows.append({"epsilon": eps, "s": None, "delta": eps,
                          "s_star": None, "delta_star": eps, "variant": variant})
             continue
-        # the binary s_star is the smaller s at a tie, as `optimal_s_binary`
-        # gives it; the q-ary one is its closed form, which can be the larger
-        delta_star, s_star = min((delta(s, eps), s) for s in _argmin_pair(eps))
-        if variant == "qary":
-            s_star = optimal_s_qary(eps)
+        s_star = optimal_s(eps)
+        delta_star = delta(s_star, eps)
         for s in (s_values if s_values is not None else [s_star]):
-            if s * (1 - eps) <= 1:
-                continue
-            rows.append({"epsilon": eps, "s": s,
-                         "delta": delta(s, eps),
-                         "s_star": s_star, "delta_star": delta_star,
-                         "variant": variant})
+            if s * (1 - eps) > 1:
+                rows.append({"epsilon": eps, "s": s, "delta": delta(s, eps),
+                             "s_star": s_star, "delta_star": delta_star,
+                             "variant": variant})
     return rows
+
+
+def _csv(header: str, rows) -> str:
+    """One CSV line per row of cells, under the header."""
+    return "\n".join([header, *(",".join(cells) for cells in rows)]) + "\n"
 
 
 def curve_csv(rows) -> str:
     """Render pir_delta_curves rows as CSV with columns epsilon,s,delta,variant."""
-    lines = ["epsilon,s,delta,variant"]
-    for row in rows:
-        s = "" if row["s"] is None else str(row["s"])
-        lines.append(f"{float(row['epsilon'])},{s},{float(row['delta'])},{row['variant']}")
-    return "\n".join(lines) + "\n"
+    return _csv("epsilon,s,delta,variant", (
+        (str(float(row["epsilon"])), "" if row["s"] is None else str(row["s"]),
+         str(float(row["delta"])), row["variant"]) for row in rows))
+
+
+def _series(which: str) -> dict:
+    """Each series of one figure, by name: eps -> delta, None where the
+    series is undefined."""
+    if which == "batch":
+        series = {line: (lambda eps, line=line: _batch_delta(line, eps)
+                         if eps < F(1, 2) else None) for line in BATCH_LINES}
+        series["tail"] = lambda eps: batch_delta_binary(eps) if eps >= F(1, 2) else None
+        series["constructions-min"] = lambda eps: min(
+            d for d in (batch_delta_binary(eps), series["array"](eps)) if d is not None)
+        series["prior-work"] = lambda eps: piecewise(BATCH_PRIOR_CURVE, eps)
+    elif which in ("pir-binary", "pir-qary"):
+        delta, optimal_s = _PIR_VARIANTS[which.removeprefix("pir-")]
+        series = {"optimal": lambda eps: delta(optimal_s(eps), eps) if eps < 1 else None,
+                  "replication": lambda eps: eps if eps >= 1 else None}
+        if which == "pir-binary":
+            series["prior-work"] = lambda eps: piecewise(PIR_PRIOR_CURVE, eps)
+            for s in (3, 5, 7, 20):
+                series[f"delta_s{s}"] = (lambda eps, s=s: pir_delta_binary(s, eps)
+                                         if s * (1 - eps) > 1 else None)
+    else:
+        raise ValueError(f"unknown curve family {which!r}")
+    series["lower-bound"] = lambda eps: piecewise(LOWER_BOUND_CURVE, eps)
+    return series
 
 
 def curve_series(which: str, step: Fraction) -> list:
-    """Rows (epsilon, delta, series) for one figure's curves."""
+    """Rows (epsilon, delta, series) for one figure's curves, sorted by
+    series name, then by epsilon."""
     grid = epsilon_grid(step)
-    rows = []
-
-    def emit(series, eps, delta):
-        if delta is not None:
-            rows.append((eps, delta, series))
-
-    if which in ("pir-binary", "pir-qary"):
-        binary = which == "pir-binary"
-        for row in pir_delta_curves(grid, variant="binary" if binary else "qary"):
-            emit("replication" if row["s"] is None else "optimal",
-                 row["epsilon"], row["delta"])
-        for eps in grid:
-            emit("lower-bound", eps, piecewise(LOWER_BOUND_CURVE, eps))
-            if binary:
-                emit("prior-work", eps, piecewise(PIR_PRIOR_CURVE, eps))
-                for s in (3, 5, 7, 20):
-                    if s * (1 - eps) > 1:
-                        emit(f"delta_s{s}", eps, pir_delta_binary(s, eps))
-    elif which == "batch":
-        half = Fraction(1, 2)
-        for eps in grid:
-            if eps < half:
-                emit("mult-qary", eps, batch_delta_qary(eps))
-                emit("mult-binary", eps, batch_delta_binary(eps))
-                emit("array", eps, batch_redundancy_exponent(eps))
-            else:
-                emit("tail", eps, batch_delta_binary(eps))
-        for eps in grid:
-            candidates = [batch_delta_binary(eps)]
-            if eps < half:
-                candidates.append(batch_redundancy_exponent(eps))
-            emit("constructions-min", eps, min(candidates))
-            emit("lower-bound", eps, piecewise(LOWER_BOUND_CURVE, eps))
-            emit("prior-work", eps, piecewise(BATCH_PRIOR_CURVE, eps))
-    else:
-        raise ValueError(f"unknown curve family {which!r}")
-    rows.sort(key=lambda r: (r[2], r[0]))
-    return rows
+    return [(eps, delta, name) for name, curve in sorted(_series(which).items())
+            for eps, delta in zip(grid, map(curve, grid)) if delta is not None]
 
 
 def _decimal(fr: Fraction) -> str:
@@ -258,7 +263,6 @@ def _decimal(fr: Fraction) -> str:
 
 def curves_csv(rows) -> str:
     """Render curve_series rows as CSV with an exact delta column."""
-    lines = ["epsilon,delta,series,delta_exact"]
-    for eps, delta, series in rows:
-        lines.append(f"{_decimal(eps)},{float(delta)},{series},{delta}")
-    return "\n".join(lines) + "\n"
+    return _csv("epsilon,delta,series,delta_exact", (
+        (_decimal(eps), str(float(delta)), series, str(delta))
+        for eps, delta, series in rows))

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pirbatch import array_code, cli, codes, curves, multiplicity
@@ -663,6 +663,91 @@ def test_curves_table_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "epsilon,s,delta,variant"
     assert any(line.endswith(",qary") for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--which", "pir-qary", "--s-values", "3"],
+    ["--which", "batch", "--s-values", "3"],
+    ["--which", "pir-qary", "--format", "table", "--s-values", ""],
+    ["--which", "pir-binary", "--format", "table", "--s-values", ","],
+    ["--which", "pir-qary", "--format", "table", "--s-values", "1"],
+    ["--which", "pir-binary", "--format", "table", "--s-values", "0,-4"],
+    ["--which", "pir-binary", "--format", "table", "--s-values", "3,1"],
+])
+def test_curves_refuse_s_values_outside_a_table_or_below_two(argv, capsys):
+    # --s-values only shapes a table, and names at least one s >= 2
+    assert run(["curves", "--step", "0.5", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def _reference_series(which):
+    """Each series of a figure as its closed form or reference curve,
+    None where it is undefined, written independently of `curves._series`."""
+    half = Fraction(1, 2)
+    lower = lambda eps: curves.piecewise(curves.LOWER_BOUND_CURVE, eps)
+    if which == "batch":
+        below = lambda f: lambda eps: f(eps) if eps < half else None
+        return {
+            "mult-qary": below(curves.batch_delta_qary),
+            "mult-binary": below(curves.batch_delta_binary),
+            "array": below(curves.batch_redundancy_exponent),
+            "tail": lambda eps: half + eps if eps >= half else None,
+            "constructions-min": lambda eps: min(
+                [curves.batch_delta_binary(eps)]
+                + ([curves.batch_redundancy_exponent(eps)] if eps < half else [])),
+            "lower-bound": lower,
+            "prior-work": lambda eps: curves.piecewise(curves.BATCH_PRIOR_CURVE, eps)}
+    delta = curves.pir_delta_binary if which == "pir-binary" else curves.pir_delta_qary
+
+    def optimal(eps):
+        # the least exponent over every admissible s up to past s+
+        if eps >= 1:
+            return None
+        top = int(3 / (1 - eps)) + 3
+        return min(delta(s, eps) for s in range(2, top) if s * (1 - eps) > 1)
+
+    series = {"optimal": optimal, "replication": lambda eps: eps if eps >= 1 else None,
+              "lower-bound": lower}
+    if which == "pir-binary":
+        series["prior-work"] = lambda eps: curves.piecewise(curves.PIR_PRIOR_CURVE, eps)
+        for s in (3, 5, 7, 20):
+            series[f"delta_s{s}"] = (lambda eps, s=s: delta(s, eps)
+                                     if s * (1 - eps) > 1 else None)
+    return series
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([Fraction(1, k) for k in range(1, 61)] + [Fraction(2, 7)]),
+       st.sampled_from(["pir-binary", "pir-qary", "batch"]))
+@example(Fraction(1, 3), "batch")
+@example(Fraction(2, 7), "pir-binary")
+def test_curve_series_off_the_decimal_grid(step, which):
+    rows = curves.curve_series(which, step)
+    assert rows == sorted(rows, key=lambda row: (row[2], row[0]))
+    grid = curves.epsilon_grid(step)
+    reference = _reference_series(which)
+    # each series covers exactly the grid points where it is defined, and
+    # each of its rows holds the closed form there
+    assert {series for _, _, series in rows} == set(reference)
+    for name, curve in reference.items():
+        assert [(eps, delta) for eps, delta, series in rows if series == name] == [
+            (eps, curve(eps)) for eps in grid if curve(eps) is not None]
+    # epsilon is exact: a decimal when 10^j * eps is whole, else num/den
+    lines = curves.curves_csv(rows).splitlines()
+    assert lines[0] == "epsilon,delta,series,delta_exact" and len(lines) == len(rows) + 1
+    for line, (eps, delta, series) in zip(lines[1:], rows):
+        cells = line.split(",")
+        assert cells[1:] == [str(float(delta)), series, str(delta)]
+        den = eps.denominator
+        while den % 2 == 0:
+            den //= 2
+        while den % 5 == 0:
+            den //= 5
+        if den == 1:
+            assert "/" not in cells[0] and Fraction(cells[0]) == eps
+        else:
+            assert cells[0] == f"{eps.numerator}/{eps.denominator}"
 
 
 def test_lower_bound_at_quarter():

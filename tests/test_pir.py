@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pirbatch import gf, linalg, mpoly, pir
 from pirbatch.batch_mult import plan_batch, validate_batch_params
 from pirbatch.curves import (
+    _argmin_pair,
     curve_csv,
     optimal_s_binary,
     optimal_s_qary,
@@ -340,6 +341,25 @@ def test_qary_optimal_formula_matches_search():
         best = min(pir_delta_qary(s, eps) for s in range(2, 40)
                    if s * (1 - eps) > 1)
         assert pir_delta_qary(s_star, eps) == best
+        # the binary s* is the least s of least exponent
+        admissible = [s for s in range(2, 60) if s * (1 - eps) > 1]
+        assert optimal_s_binary(eps) == min(
+            admissible, key=lambda s: (pir_delta_binary(s, eps), s))
+    # the closed-form q-ary s* reaches the least exponent of the pair the
+    # binary search uses, and the binary s* is the smaller s at a tie
+    # (a tie falls at eps = (c - 1)/(c + 1): 1/2, 3/5, 4/5, ... on this grid)
+    ties = 0
+    for eps in [Fraction(i, 1000) for i in range(1000)]:
+        pair = _argmin_pair(eps)
+        assert pir_delta_qary(optimal_s_qary(eps), eps) == min(
+            pir_delta_qary(s, eps) for s in pair)
+        low, high = (pir_delta_binary(s, eps) for s in pair)
+        s_star = optimal_s_binary(eps)
+        assert pir_delta_binary(s_star, eps) == min(low, high)
+        if low == high:
+            ties += 1
+            assert s_star == pair[0]
+    assert ties >= 3
 
 
 def test_curve_rows_and_csv():
@@ -361,3 +381,9 @@ def test_curve_validation():
         pir_delta_curves([Fraction(-1, 10)])
     with pytest.raises(ValueError):
         pir_delta_curves([0], variant="ternary")
+    # every s below 2 is refused, not skipped as inadmissible, on a grid
+    # whether or not it reaches below eps = 1
+    for s_values in ([1], [0, -4], [3, 1]):
+        for grid in ([Fraction(0)], [Fraction(3, 2)]):
+            with pytest.raises(ValueError, match="need s >= 2"):
+                pir_delta_curves(grid, s_values=s_values, variant="binary")
