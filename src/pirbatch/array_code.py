@@ -169,10 +169,7 @@ def pir_sets_for_bit(params: ArrayCodeParams, cell) -> list:
     """One recovering set per slope for the given data cell: the rest of
     the diagonal through it plus that diagonal's parity bit.  Pairwise
     disjoint when p is prime and r <= p."""
-    i, j = cell
-    if not (0 <= i < params.rows and 0 <= j < params.cols):
-        raise ValueError(f"cell {cell} outside the array")
-    return list(_pir_sets_cached(params, (i, j)))
+    return list(_pir_sets_cached(params, tuple(cell)))
 
 
 def check_disjoint(params: ArrayCodeParams) -> None:
@@ -187,9 +184,11 @@ def check_disjoint(params: ArrayCodeParams) -> None:
 @lru_cache(maxsize=None)
 def _pir_sets_cached(params: ArrayCodeParams, cell) -> tuple:
     # checked on every cache miss; a ValueError is not cached, so invalid
-    # params raise on every call
-    check_disjoint(params)
+    # params and cells raise on every call
     i, j = cell
+    if not (0 <= i < params.rows and 0 <= j < params.cols):
+        raise ValueError(f"cell {cell} outside the array")
+    check_disjoint(params)
     p = params.cols
     out = []
     for ell, s in enumerate(params.slopes):

@@ -52,9 +52,9 @@ def count_monomials(s: int, m: int) -> int:
 
 def count_degree(s: int, d: int) -> int:
     """Number of exponent vectors in s variables with weight <= d."""
-    if s < 0 or d < 0:
+    if d < 0:
         raise ValueError("arguments must be non-negative")
-    return comb(d + s, s)
+    return count_monomials(s, d + 1)
 
 
 @lru_cache(maxsize=None)
@@ -77,12 +77,9 @@ def monomials_below(s: int, m: int) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def monomials_up_to_degree(s: int, d: int) -> tuple:
-    out = []
-    for w in range(d + 1):
-        out.extend(monomials_of_weight(s, w))
-    return tuple(out)
+    """All exponent vectors with weight <= d, graded-lex order."""
+    return monomials_below(s, d + 1)
 
 
 class Poly:
@@ -247,42 +244,30 @@ def order_m_evaluation(P: Poly, w, m: int) -> tuple:
 # univariate interpolation from order-m data (erasure tolerant)
 # ---------------------------------------------------------------------------
 
-class _HermiteSolver:
-    """Solve operator for one (sample-structure, degree) shape.
+@lru_cache(maxsize=4096)
+def _hermite_solver(field, rows, d):
+    """The read-only solve operator for one (sample-structure, degree)
+    shape.
 
     Row (lam, u) of the constraint matrix M constrains
     sum_j binom(j, u) lam^(j-u) c_j.  One rref of [M | I] gives E with
     E @ M reduced; its right block is a checked operator for `read`.  At
-    full column rank its first d+1 rows, ``solve_rows``, are a left
-    inverse of M, mapping consistent right-hand sides to the unique
-    degree-<=d coefficient vector, and the other rows, ``check_rows``,
-    span every combination of the constraints that vanishes on M, so
-    they are all zero exactly on consistent ones.
+    full column rank its first d+1 rows are a left inverse of M, mapping
+    consistent right-hand sides to the unique degree-<=d coefficient
+    vector, and the other rows, the check rows, span every combination
+    of the constraints that vanishes on M, so they are all zero exactly
+    on consistent ones.
     """
-
-    __slots__ = ("field", "operator", "solve_rows", "check_rows")
-
-    def __init__(self, field, rows, d):
-        self.field = field
-        width, n = d + 1, len(rows)
-        matrix = np.array([[field.mul(field.from_int(comb(j, u)), field.pow(lam, j - u))
-                            if j >= u else 0 for j in range(width)] for lam, u in rows],
-                          dtype=np.int64).reshape(n, width)
-        reduced, pivots = linalg.rref(field, np.hstack([matrix, np.eye(n, dtype=np.int64)]))
-        if pivots[:width] != list(range(width)):
-            raise ValueError(
-                f"under-determined: {n} constraints of rank below {width} for degree {d}")
-        reduced.setflags(write=False)  # kept by the solver cache
-        self.operator = reduced[:, width:]
-        self.solve_rows, self.check_rows = self.operator[:width], self.operator[width:]
-
-    def solve(self, values):
-        return read(self.field, self.operator, values, len(self.solve_rows)).tolist()
-
-
-@lru_cache(maxsize=4096)
-def _hermite_solver(field, rows, d):
-    return _HermiteSolver(field, rows, d)
+    width, n = d + 1, len(rows)
+    matrix = np.array([[field.mul(field.from_int(comb(j, u)), field.pow(lam, j - u))
+                        if j >= u else 0 for j in range(width)] for lam, u in rows],
+                      dtype=np.int64).reshape(n, width)
+    reduced, pivots = linalg.rref(field, np.hstack([matrix, np.eye(n, dtype=np.int64)]))
+    if pivots[:width] != list(range(width)):
+        raise ValueError(
+            f"under-determined: {n} constraints of rank below {width} for degree {d}")
+    reduced.setflags(write=False)  # kept by the cache
+    return reduced[:, width:]
 
 
 def hermite_interpolate(field, samples, d: int) -> Poly:
@@ -301,8 +286,8 @@ def hermite_interpolate(field, samples, d: int) -> Poly:
     if len(rows) < d + 1:
         raise ValueError(f"under-determined: {len(rows)} constraints for degree {d}")
     values = [v for _, vals in samples for v in vals]
-    coeffs = _hermite_solver(field, rows, d).solve(values)
-    return univariate(field, coeffs)
+    coeffs = read(field, _hermite_solver(field, rows, d), values, d + 1)
+    return univariate(field, coeffs.tolist())
 
 
 # ---------------------------------------------------------------------------

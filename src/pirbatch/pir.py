@@ -6,6 +6,8 @@ whose directions form a grid with last coordinate 1.  Scaling a vector
 with last coordinate 1 changes that coordinate, so grids built from
 disjoint blocks are disjoint under scalar multiplication and the line
 sets of different grids never share a point besides w0 itself.
+`plan_requests` is the one planner of a request of several points, each
+taking its own grid; the PIR plans of w0 are those of (w0, ..., w0).
 
 Recovery along a plan is linear in the codeword, so each plan shape is
 compiled once into a checked linear operator over GF(q): per line, the
@@ -20,6 +22,7 @@ compare it against.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +37,7 @@ from .mpoly import (
     monomials_below,
     read,
 )
-from .multiplicity import MultCodeParams, _component_rows, line_points, line_samples
+from .multiplicity import MultCodeParams, _component_rows, _line, line_samples
 
 
 @dataclass(frozen=True)
@@ -80,14 +83,42 @@ class RecoveryPlan:
 
 
 def make_plan(params, w0, family_index, lines) -> RecoveryPlan:
-    points = []
+    w0, points = tuple(w0), []
     for v, drops in lines:
         if params.m * (params.q - 1 - len(drops)) < params.d + 1:
             raise ValueError("a line retains too few points for this degree")
-        points.extend(w for _, w in line_points(params, w0, v, drops))
-    return RecoveryPlan(params=params, w0=tuple(w0), family_index=family_index,
+        points.extend(w for lam, w in enumerate(_line(params, w0, v), 1)
+                      if lam not in drops)
+    return RecoveryPlan(params=params, w0=w0, family_index=family_index,
                         lines=tuple((v, frozenset(d)) for v, d in lines),
                         coordinates=frozenset(points), points=tuple(points))
+
+
+def plan_requests(params: MultCodeParams, request) -> tuple:
+    """One recovering plan per entry of a sorted request of at most k_pir
+    points: entry j takes the lines through its target in the directions
+    of grid j, and each line drops every point that another entry
+    touches, as its target or on one of its lines.  So the plans are
+    pairwise disjoint and read no requested point.
+
+    Each line is walked once, and one count per point of the entries that
+    touch it finds the drops.  Another entry takes at most m^(s-1) points
+    from a line: one per line of its own, since lines of different grids
+    are never parallel, or only its target when the target lies on the
+    line, since all its lines then meet this line there.  So a line of a
+    k-entry request drops at most (k-1)*m^(s-1) points, below the
+    k*m^(s-1) that the batch inequality d <= m*(q - k*m^(s-1) - 2) leaves
+    room for.
+    """
+    grids = build_direction_families(params.q, params.m, params.s).grids
+    walks = [[(v, _line(params, w0, v)) for v in grid] for w0, grid in zip(request, grids)]
+    touches = Counter(request)
+    touches.update(itertools.chain.from_iterable(line for walk in walks for _, line in walk))
+    return tuple(
+        make_plan(params, w0, j, [(v, frozenset(lam for lam, w in enumerate(line, 1)
+                                                if touches[w] > 1))
+                                  for v, line in walk])
+        for j, (w0, walk) in enumerate(zip(request, walks)))
 
 
 def pir_recovery_plans(params: MultCodeParams, w0) -> list:
@@ -99,12 +130,12 @@ def pir_recovery_plans(params: MultCodeParams, w0) -> list:
 
 @lru_cache(maxsize=1024)
 def _pir_plans(params, w0) -> tuple:
+    """The plans of the request (w0, ..., w0) of k_pir entries: lines of
+    different grids through w0 meet only at w0, so no line drops a point."""
     if params.d >= params.m * (params.q - 1):
         raise ValueError(
             f"need d/m < q-1: d={params.d}, m={params.m}, q={params.q}")
-    fam = build_direction_families(params.q, params.m, params.s)
-    return tuple(make_plan(params, w0, idx, [(v, frozenset()) for v in grid])
-                 for idx, grid in enumerate(fam.grids))
+    return plan_requests(params, (w0,) * params.k_pir)
 
 
 # ---------------------------------------------------------------------------
@@ -173,10 +204,11 @@ def _line_operator(params, v, drops):
     sample, weight = zip(*((u, vpow) for u, row in enumerate(_component_rows(params, v))
                            for _, vpow in row))
     src = (np.arange(len(lams))[:, None] * m + np.array(sample)).ravel()
-    solve = solver.solve_rows
-    coef = np.zeros((m, solve.shape[1]), dtype=np.int64)
-    coef[:min(m, len(solve))] = solve[:m]
-    rows = gf.multiply(field, np.vstack([coef, solver.check_rows])[:, src],
+    # its first d + 1 rows solve, and the rows below them check
+    solved = min(m, params.d + 1)
+    coef = np.zeros((m, solver.shape[1]), dtype=np.int64)
+    coef[:solved] = solver[:solved]
+    rows = gf.multiply(field, np.vstack([coef, solver[params.d + 1:]])[:, src],
                        np.tile(weight, len(lams)))
     return rows[:m], rows[m:]
 

@@ -238,7 +238,7 @@ def is_recovering_set(G: GeneratorMatrix, i: int, R, witness=None):
 def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
     """Same test for an arbitrary codeword position j, which must lie in
     [0, N).  A witness that is |R| field elements is checked as a stack
-    of one."""
+    of one.  Either path returns the nonzero coefficients by position."""
     if not 0 <= j < G.N:
         raise ValueError(f"targets position {j} outside [0, {G.N})")
     _check_positions(G.N, R)
@@ -248,7 +248,7 @@ def is_recovering_position(G: GeneratorMatrix, j: int, R, witness=None):
                 and _witnesses_hold(G, np.array([R], dtype=np.intp),
                                     np.array([[coeffs]], dtype=np.int64),
                                     np.array([[j]], dtype=np.intp))[0, 0]):
-            return True, dict(zip(R, coeffs))
+            return True, {p: c for p, c in zip(R, coeffs) if c}
     return _solve_recovery(G, j, R)
 
 

@@ -258,6 +258,23 @@ def test_plan_array_batch_random_sweep():
         assert not (a & b)
 
 
+@pytest.mark.parametrize("cell", [(0, 7), (-1, 0), (5, 0)])
+def test_planners_refuse_cells_outside_the_array(cell):
+    # a column index past p must not wrap onto another column, nor a
+    # negative one reach a shift; both planners refuse them as
+    # `pir_sets_for_bit` does, on every call, since no ValueError is cached
+    five = five_batch_code(5)
+    request = [cell, (1, 1), (2, 2), (3, 3), (4, 4)]
+    two = ArrayCodeParams(rows=5, cols=5, slopes=(0, 1))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside the array"):
+            plan_five_batch(five, request)
+        with pytest.raises(ValueError, match="outside the array"):
+            plan_array_batch(two, [cell, (1, 1)])
+        with pytest.raises(ValueError, match="outside the array"):
+            pir_sets_for_bit(two, cell)
+
+
 def test_five_batch_params():
     params = five_batch_code(5)
     assert params.redundancy == 26

@@ -3,14 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pirbatch import batch_mult, multiplicity
+from pirbatch import multiplicity, pir
 from pirbatch.array_code import BatchPlanningError
 from pirbatch.batch_mult import BatchPlan, plan_batch, recover_batch, validate_batch_params
 from pirbatch.curves import batch_delta_binary, batch_delta_qary
 from pirbatch.gf import Field
-from pirbatch.multiplicity import MultCodeParams, code_points, encode_poly
-from pirbatch.pir import pir_recovery_plans
+from pirbatch.multiplicity import MultCodeParams, code_points, encode_poly, line_points
+from pirbatch.pir import (
+    RecoveryPlan,
+    build_direction_families,
+    make_plan,
+    pir_recovery_plans,
+    plan_requests,
+)
 from tests.test_mpoly import random_poly
 
 
@@ -60,7 +68,7 @@ def test_overlapping_plans_raise_planning_error(monkeypatch):
     # check must hold under python -O, so it cannot be an assert
     bp = validate_batch_params(P2411, 2)
     shared = pir_recovery_plans(P2411, (0, 0))[0]
-    monkeypatch.setattr(batch_mult, "make_plan", lambda *args: shared)
+    monkeypatch.setattr(pir, "make_plan", lambda *args: shared)
     with pytest.raises(BatchPlanningError) as info:
         plan_batch(bp, [(0, 0), (1, 1)])
     assert info.value.request == ((0, 0), (1, 1))
@@ -106,15 +114,21 @@ def test_recover_requests_on_one_line():
 
 
 def test_drop_budget_observed():
-    bp = validate_batch_params(P2411, 2)
-    budget = 2 * 2 ** 1
+    # another entry takes at most m^(s-1) points from a line
     rng = random.Random(31)
-    pts = code_points(P2411)
-    for _ in range(50):
-        req = [pts[rng.randrange(len(pts))] for _ in range(2)]
-        for plan in plan_batch(bp, req).plans:
-            for _, drops in plan.lines:
-                assert len(drops) <= budget
+    for ps, k in ((P2411, 2), (params(2, 10, 2, 13), 3)):
+        bp = validate_batch_params(ps, k)
+        budget = (k - 1) * ps.m ** (ps.s - 1)
+        pts = code_points(ps)
+        most = 0
+        for _ in range(50):
+            req = [pts[rng.randrange(len(pts))] for _ in range(k)]
+            for plan in plan_batch(bp, req).plans:
+                most = max(most, *(len(drops) for _, drops in plan.lines))
+        # the bound is tight: a request on one line reaches it
+        for plan in plan_batch(bp, [(0, j) for j in range(k)]).plans:
+            most = max(most, *(len(drops) for _, drops in plan.lines))
+        assert most == budget
 
 
 def test_recover_reads_only_plan_coordinates():
@@ -151,5 +165,74 @@ def test_cached_line_points_give_the_uncached_plans(ps, k, monkeypatch):
     requests = [[rng.choice(points) for _ in range(k)] for _ in range(300)]
     cached = [plan_batch(bp, r) for r in requests]
     multiplicity._line.cache_clear()
-    monkeypatch.setattr(multiplicity, "_line", multiplicity._line.__wrapped__)
+    uncached = multiplicity._line.__wrapped__
+    # the planner reads lines through `pir`'s own binding of `_line`
+    for module in (multiplicity, pir):
+        monkeypatch.setattr(module, "_line", uncached)
     assert [plan_batch(bp, r) for r in requests] == cached
+
+
+def _foreign_set_plans(ps, request):
+    """The planner `plan_requests` replaced, kept as a reference: entry j
+    takes grid j, and each of its lines drops every point of the union of
+    the other entries' targets and line points."""
+    grids = build_direction_families(ps.q, ps.m, ps.s).grids
+    covered = [frozenset(w for v in grid for _, w in line_points(ps, w0, v))
+               for w0, grid in zip(request, grids)]
+    plans = []
+    for j, w0 in enumerate(request):
+        foreign = set()
+        for j2 in range(len(request)):
+            if j2 != j:
+                foreign.add(request[j2])
+                foreign.update(covered[j2])
+        lines = tuple((v, frozenset(lam for lam, w in line_points(ps, w0, v) if w in foreign))
+                      for v in grids[j])
+        points = tuple(w for v, drops in lines for _, w in line_points(ps, w0, v, drops))
+        plans.append(RecoveryPlan(params=ps, w0=w0, family_index=j, lines=lines,
+                                  coordinates=frozenset(points), points=points))
+    return tuple(plans)
+
+
+def _batch_ks(ps):
+    """Every k the batch inequalities allow."""
+    ks = []
+    while True:
+        try:
+            validate_batch_params(ps, len(ks))
+        except ValueError:
+            return ks
+        ks.append(len(ks))
+
+
+# s = 2 and s = 3 over GF(5), GF(7), GF(8), GF(9), GF(11) and GF(13)
+PLANNER_CODES = [params(*c) for c in (
+    (1, 1, 2, 5), (1, 1, 3, 5), (2, 2, 2, 7), (1, 2, 3, 7), (2, 4, 2, 8), (1, 2, 3, 8),
+    (1, 3, 2, 9), (1, 2, 3, 9), (2, 4, 2, 11), (2, 2, 3, 11), (2, 10, 2, 13),
+    (2, 4, 3, 13))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_planner_matches_the_foreign_set_planner(data):
+    ps = data.draw(st.sampled_from(PLANNER_CODES), label="code")
+    k = data.draw(st.sampled_from(_batch_ks(ps)), label="k")
+    points = code_points(ps)
+    index = st.integers(0, len(points) - 1)
+    # repeats and points on one line are where drops happen
+    first = data.draw(index, label="first")
+    request = sorted(points[data.draw(st.one_of(st.just(first), index), label="entry")]
+                     for _ in range(k))
+    plans = plan_requests(ps, tuple(request))
+    assert plans == _foreign_set_plans(ps, tuple(request))
+    assert plan_batch(validate_batch_params(ps, k), request).plans == plans
+    budget = (k - 1) * ps.m ** (ps.s - 1)
+    for a, plan in enumerate(plans):
+        assert all(len(drops) <= budget for _, drops in plan.lines)
+        assert not plan.coordinates & set(request)
+        for other in plans[a + 1:]:
+            assert not plan.coordinates & other.coordinates
+    w0 = request[0] if request else points[first]
+    grids = build_direction_families(ps.q, ps.m, ps.s).grids
+    assert pir_recovery_plans(ps, w0) == [
+        make_plan(ps, w0, j, [(v, frozenset()) for v in grid]) for j, grid in enumerate(grids)]

@@ -215,9 +215,9 @@ def test_hermite_solver_rows_invert_and_check_the_constraints(q, m, data):
           for j in range(d + 1)] for lam, u in rows]
     solver = _hermite_solver(f, rows, d)
     identity = [[int(i == j) for j in range(d + 1)] for i in range(d + 1)]
-    assert linalg.matmul(f, solver.solve_rows.tolist(), M) == identity
-    assert len(solver.check_rows) == len(rows) - (d + 1)
-    assert all(not any(r) for r in linalg.matmul(f, solver.check_rows.tolist(), M))
+    assert linalg.matmul(f, solver[:d + 1].tolist(), M) == identity
+    assert len(solver[d + 1:]) == len(rows) - (d + 1)
+    assert all(not any(r) for r in linalg.matmul(f, solver[d + 1:].tolist(), M))
     # one point's m constraints twice over: rank m, below the d + 1 = m + 1
     # unknowns, though there are 2m >= d + 1 rows
     with pytest.raises(ValueError):

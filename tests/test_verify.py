@@ -198,6 +198,28 @@ def test_recover_value_applies_coefficients():
         assert acc == bits[4]
 
 
+def test_both_recovery_paths_return_nonzero_coefficients_of_the_target():
+    # the reader's witness row has zeros, which neither path may return
+    code = build_runtime({"family": "multiplicity", "m": 2, "d": 4, "s": 2, "q": 11})
+    G = extract_generator(code.field, code.encode, code.n, code.N)
+    reader = code.reader(0, 0)
+    witness = reader.operator.matrix[0].tolist()
+    assert 0 in witness
+    target = G.matrix[:, G.info_positions[0]]
+    for w in (witness, None):
+        ok, coeffs = is_recovering_set(G, 0, reader.positions, w)
+        assert ok and coeffs and all(coeffs.values())
+        assert set(coeffs) <= set(reader.positions)
+        assert is_recovering_position(G, G.info_positions[0], reader.positions, w) == (
+            ok, coeffs)
+        positions = sorted(coeffs)
+        combined = gf.matmul(G.field, [coeffs[p] for p in positions],
+                             G.matrix[:, positions].T)
+        assert combined.tolist() == target.tolist()
+    assert is_recovering_set(G, 0, reader.positions, witness)[1] == {
+        p: c for p, c in zip(reader.positions, witness) if c}
+
+
 def test_negative_control_removing_coordinate_breaks_parity_set():
     params = ArrayCodeParams(rows=3, cols=5, slopes=(0, 1))
     G = extract_generator(GF2, array_encoder(params), 15, 25)
